@@ -114,48 +114,38 @@ def _check_f_args(delta, n, length, d_sq):
         raise ValueError("squared axis distance must be positive")
 
 
-def user_gain_bound(split: SegmentSplit, num_segments: int, length: float, d_sq: float, eta: float) -> float:
+def user_gain_bound(split: SegmentSplit, num_segments: int, length: float, d_sq: float, eta: float,
+                    partial_sum=f_integral) -> float:
     """Upper bound on a user's effective channel gain |h|^2 under ideal combining.
 
-    (eta / M) * [1/sqrt(d_sq) + f_integral(delta_minus, M_minus)
-                 + f_integral(delta_plus, M_plus)]^2.
+    (eta / M) * [1/sqrt(d_sq) + F(delta_minus, M_minus) + F(delta_plus, M_plus)]^2
+    with the partial sums F = `partial_sum`: `f_integral` or `f_exact`.
     Reduces to the single-antenna projection gain eta/d_sq at M = 1.
     """
     if num_segments != split.M_minus + split.M_plus + 1:
         raise ValueError("num_segments inconsistent with the split counts")
     bracket = (
         1.0 / math.sqrt(d_sq)
-        + f_integral(split.delta_minus, split.M_minus, length, d_sq)
-        + f_integral(split.delta_plus, split.M_plus, length, d_sq)
+        + partial_sum(split.delta_minus, split.M_minus, length, d_sq)
+        + partial_sum(split.delta_plus, split.M_plus, length, d_sq)
     )
     return eta / num_segments * bracket * bracket
 
 
-def _user_gain_bound_exact(split: SegmentSplit, num_segments: int, length: float, d_sq: float, eta: float) -> float:
-    """Gain bound with the exact partial sums in place of the closed form."""
-    if num_segments != split.M_minus + split.M_plus + 1:
-        raise ValueError("num_segments inconsistent with the split counts")
-    bracket = (
-        1.0 / math.sqrt(d_sq)
-        + f_exact(split.delta_minus, split.M_minus, length, d_sq)
-        + f_exact(split.delta_plus, split.M_plus, length, d_sq)
-    )
-    return eta / num_segments * bracket * bracket
-
-
-def _bound_rate(users: UserSet, layout: WaveguideLayout, params: SystemParams, per_user_gain) -> float:
+def _bound_rate(users: UserSet, layout: WaveguideLayout, params: SystemParams, partial_sum) -> float:
     total = 0.0
     d_sq = users.dist_sq_to_axis(layout.height_m)
     for k in range(users.num_users):
         split = split_for_user(users[k], layout)
-        gain = per_user_gain(split, layout.num_segments, layout.segment_length_m, float(d_sq[k]), params.eta)
+        gain = user_gain_bound(split, layout.num_segments, layout.segment_length_m, float(d_sq[k]), params.eta,
+                               partial_sum)
         total += float(users.power_w[k]) * gain
     return float(np.log2(1.0 + total / params.noise_power_w))
 
 
 def sum_rate_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams) -> float:
     """Sum-rate upper bound log2(1 + sum_k P_k G_k / sigma^2) via the closed form."""
-    return _bound_rate(users, layout, params, user_gain_bound)
+    return _bound_rate(users, layout, params, f_integral)
 
 
 def exact_amplitude_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams) -> float:
@@ -165,4 +155,4 @@ def exact_amplitude_bound(users: UserSet, layout: WaveguideLayout, params: Syste
     its segment and combines the amplitudes coherently; this is the exact
     counterpart that the closed form approximates.
     """
-    return _bound_rate(users, layout, params, _user_gain_bound_exact)
+    return _bound_rate(users, layout, params, f_exact)

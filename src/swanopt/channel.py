@@ -103,6 +103,4 @@ def placement_sum_rate(users: UserSet, placement: Placement, layout: WaveguideLa
     """Sum-rate achieved by a placement, vectorized over users."""
     g = cascaded_gain_matrix(users, placement, layout, params)
     v = np.exp(1j * placement.phase_array())
-    h = g @ v / np.sqrt(placement.num_active)
-    snr = float(np.sum(users.power_w * np.abs(h) ** 2) / params.noise_power_w)
-    return float(np.log2(1.0 + snr))
+    return sum_rate(g @ v / np.sqrt(placement.num_active), users, params)

@@ -212,12 +212,6 @@ class Placement:
             phases={**self.phases, segment: float(phase)},
         )
 
-    def with_phases(self, phases: dict[int, float]) -> "Placement":
-        """Return a copy with replaced phase shifts (same activated set)."""
-        if set(phases) != set(self.active):
-            raise ValueError("phases must be keyed exactly by the active segments")
-        return Placement(active=self.active, positions=dict(self.positions), phases=dict(phases))
-
     @property
     def num_active(self) -> int:
         return len(self.active)
@@ -259,10 +253,6 @@ def build_centered_layout(
     """
     if num_segments < 1:
         raise ValueError("num_segments must be at least 1")
-    if segment_length_m <= 0:
-        raise ValueError("segment_length_m must be positive")
-    if height_m <= 0:
-        raise ValueError("height_m must be positive")
     start = region_center_x - num_segments * segment_length_m / 2.0
     feeds = tuple(start + m * segment_length_m for m in range(num_segments))
     return WaveguideLayout(segment_length_m=segment_length_m, feed_x=feeds, height_m=height_m)

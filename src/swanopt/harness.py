@@ -14,10 +14,12 @@ extent (possible while sweeping the segment count below region_x / L), the
 bound schemes redraw the whole realization from the same stream until all
 projections are inside, and the redraw count is recorded in the sidecar
 metadata; optimizer schemes keep the original draw, which they handle fine.
+A realization that needs more than MAX_REDRAWS redraws raises ValueError.
 """
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -39,6 +41,8 @@ TOOL_VERSION = "0.1.0"
 SCHEMES = ("bound-exact", "bound-integral", "full-sa-1", "full-sa-2", "hssa-1", "hssa-2")
 _BOUND_SCHEMES = frozenset({"bound-exact", "bound-integral"})
 _GREEDY_SCHEMES = frozenset({"hssa-1", "hssa-2"})
+# Redraws allowed per bound-scheme realization before the sweep point fails.
+MAX_REDRAWS = 10_000
 
 CSV_HEADER = "sweep_var,sweep_value,scheme,mean_rate_bps_hz,std_rate,n_real,seed"
 TRACE_CSV_HEADER = "scheme,level,segment,position,phases,rate,degenerate,best"
@@ -72,6 +76,10 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.realizations < 1:
             raise ValueError("realizations must be at least 1")
         if self.grid_points < 2:
@@ -230,22 +238,23 @@ def sweep_csv_text(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sidecar_text(result: SweepResult) -> str:
+def _write_with_sidecar(path, csv_text: str, config_hash: str, sweep_var: str, resample_counts: dict) -> None:
+    """Write a CSV (LF endings) and its `<path>.meta.json` metadata sidecar."""
     payload = {
         "tool_version": TOOL_VERSION,
-        "config_sha256": result.config_hash,
-        "sweep_var": result.sweep_var,
-        "resample_counts": {str(k): v for k, v in sorted(result.resample_counts.items())},
+        "config_sha256": config_hash,
+        "sweep_var": sweep_var,
+        "resample_counts": {str(k): v for k, v in sorted(resample_counts.items())},
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(csv_text)
+    with open(f"{path}.meta.json", "w", encoding="utf-8", newline="") as handle:
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_sweep_result(result: SweepResult, path) -> None:
-    """Write the CSV (LF endings, 17 significant digits) plus a metadata sidecar."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(sweep_csv_text(result))
-    with open(f"{path}.meta.json", "w", encoding="utf-8", newline="") as handle:
-        handle.write(sidecar_text(result))
+    """Write the CSV (17 significant digits) plus a metadata sidecar."""
+    _write_with_sidecar(path, sweep_csv_text(result), result.config_hash, result.sweep_var, result.resample_counts)
 
 
 def _draw_realization(config: ExperimentConfig, num_users: int, realization: int, extent=None):
@@ -258,28 +267,44 @@ def _draw_realization(config: ExperimentConfig, num_users: int, realization: int
     bound_users = users
     redraws = 0
     while np.any(bound_users.x < lo) or np.any(bound_users.x > hi):
+        if redraws == MAX_REDRAWS:
+            raise ValueError(
+                f"no draw of {num_users} users within {MAX_REDRAWS} redraws has every projection inside "
+                f"the waveguide extent [{lo:.6g}, {hi:.6g}] m; widen the layout or narrow region_x_m"
+            )
         bound_users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, rng)
         redraws += 1
     return users, bound_users, redraws
 
 
-def _scheme_rate(scheme: str, users, layout, params, config: ExperimentConfig) -> float:
+def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig):
+    """Call one scheme with the config's settings and return its own result.
+
+    Bounds return a rate, the greedy searches a GreedyTrace and the
+    full-activation baselines a (placement, rate) pair.
+    """
     if scheme == "bound-exact":
         return exact_amplitude_bound(users, layout, params)
     if scheme == "bound-integral":
         return sum_rate_bound(users, layout, params)
     if scheme == "hssa-1":
-        return greedy_hssa_type1(users, layout, params, config.grid_points).best_rate
+        return greedy_hssa_type1(users, layout, params, config.grid_points)
     if scheme == "hssa-2":
         return greedy_hssa_type2(users, layout, params, config.grid_points,
-                                 tol=config.ao_tol, max_iter=config.ao_max_iter).best_rate
-    if scheme == "full-sa-1":
-        return full_sa_baseline(users, layout, params, config.grid_points, "type1",
-                                tol=config.ao_tol, max_sweeps=config.ao_max_iter)[1]
-    if scheme == "full-sa-2":
-        return full_sa_baseline(users, layout, params, config.grid_points, "type2",
-                                tol=config.ao_tol, max_sweeps=config.ao_max_iter)[1]
+                                 tol=config.ao_tol, max_iter=config.ao_max_iter)
+    if scheme in ("full-sa-1", "full-sa-2"):
+        variant = "type1" if scheme == "full-sa-1" else "type2"
+        return full_sa_baseline(users, layout, params, config.grid_points, variant,
+                                tol=config.ao_tol, max_sweeps=config.ao_max_iter)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _result_rate(result) -> float:
+    if isinstance(result, GreedyTrace):
+        return result.best_rate
+    if isinstance(result, tuple):
+        return result[1]
+    return result
 
 
 def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
@@ -306,7 +331,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
             redrawn += redraws
             for scheme in config.schemes:
                 chosen = bound_users if scheme in _BOUND_SCHEMES else users
-                rates[scheme][r] = _scheme_rate(scheme, chosen, layout, params, config)
+                rates[scheme][r] = _result_rate(_run_scheme(scheme, chosen, layout, params, config))
         resample_counts[value] = redrawn
         for scheme in config.schemes:
             vals = rates[scheme]
@@ -353,14 +378,7 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
     params = config.system_params()
     layout = config.layout_for(config.num_segments)
     users, _, _ = _draw_realization(config, config.num_users, 0)
-    traces = {}
-    for scheme in greedy:
-        if scheme == "hssa-1":
-            traces[scheme] = greedy_hssa_type1(users, layout, params, config.grid_points)
-        else:
-            traces[scheme] = greedy_hssa_type2(users, layout, params, config.grid_points,
-                                               tol=config.ao_tol, max_iter=config.ao_max_iter)
-    return traces
+    return {scheme: _run_scheme(scheme, users, layout, params, config) for scheme in greedy}
 
 
 def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:
@@ -381,16 +399,8 @@ def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:
 
 
 def write_trace_result(traces: dict[str, GreedyTrace], config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(trace_csv_text(traces))
-    payload = {
-        "tool_version": TOOL_VERSION,
-        "config_sha256": config.config_hash(),
-        "sweep_var": "single",
-        "resample_counts": {},
-    }
-    with open(f"{path}.meta.json", "w", encoding="utf-8", newline="") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write the trace CSV plus a sidecar with sweep_var "single" and no resampling."""
+    _write_with_sidecar(path, trace_csv_text(traces), config.config_hash(), "single", {})
 
 
 def apply_overrides(config: ExperimentConfig, seed=None, realizations=None, output=None) -> ExperimentConfig:

@@ -22,8 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import cascaded_gain_matrix, segment_gains
-from .geometry import Placement, SystemParams, UserSet, WaveguideLayout
+# Unused here, but perfbench/spans.py patches optimize.cascaded_gain_matrix by name.
+from .channel import cascaded_gain_matrix, segment_gains  # noqa: F401
+from .geometry import Placement, WaveguideLayout
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,30 +68,6 @@ class GreedyTrace:
         return self.best.rate
 
 
-@dataclass(frozen=True)
-class PhaseMatrix:
-    """Hermitian quadratic-form matrix of the phase-shift problem.
-
-    values[m, n] = sum_k P_k g_{k,m} conj(g_{k,n}) over the activated
-    segments, ordered like `segments`.
-    """
-
-    segments: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        s = len(self.segments)
-        if vals.shape != (s, s):
-            raise ValueError("matrix shape must match the number of segments")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def size(self) -> int:
-        return len(self.segments)
-
-
 class PhaseOptResult(NamedTuple):
     phases: np.ndarray
     objective: float
@@ -106,33 +83,25 @@ def candidate_grid(segment: int, layout: WaveguideLayout, grid_points: int) -> n
 
 
 def _infeasible_mask(grid: np.ndarray, positions: np.ndarray, min_spacing_m: float) -> np.ndarray:
-    if positions.size == 0:
-        return np.zeros(grid.shape, dtype=bool)
     return (np.abs(grid[:, None] - positions[None, :]) < min_spacing_m).any(axis=1)
 
 
-def infeasible_points(grid, placed: Placement, min_spacing_m: float) -> np.ndarray:
-    """Grid points lying within the minimum spacing of any placed antenna."""
-    g = np.asarray(grid, dtype=float)
-    return g[_infeasible_mask(g, placed.position_array(), min_spacing_m)]
+def _best_grid_point(segment, occupied, aggregate, n_active, users, layout, params, grid_points, align):
+    """Best feasible grid position for a trial antenna, committed antennas fixed.
 
-
-def _aggregate_channel_sums(users: UserSet, placement: Placement, layout: WaveguideLayout, params: SystemParams) -> np.ndarray:
-    """Per-user unnormalized channel sums over the active segments, shape (K,)."""
-    if not placement.active:
-        return np.zeros(users.num_users, dtype=complex)
-    g = cascaded_gain_matrix(users, placement, layout, params)
-    return g @ np.exp(1j * placement.phase_array())
-
-
-def _best_grid_point(segment, occupied, aggregate, n_active, users, layout, params, grid_points, phase_mode):
+    `aggregate` holds the per-user unnormalized channel sums of the committed
+    antennas. With `align` the trial antenna's phase shifter is set to the
+    single-element optimum against that aggregate; otherwise it stays at zero.
+    Returns (position, sum_rate, gain column at that position). Raises
+    SegmentInfeasibleError when the whole grid violates the spacing constraint.
+    """
     grid = candidate_grid(segment, layout, grid_points)
     mask = _infeasible_mask(grid, occupied, params.min_spacing_m)
     if mask.all():
         raise SegmentInfeasibleError(f"no feasible grid point left in segment {segment}")
     pts = grid[~mask]
     gains = segment_gains(users, segment, pts, layout, params)
-    if phase_mode == "align" and n_active:
+    if align and n_active:
         # Best phase for the new antenna with all committed phases held fixed.
         s = np.sum(users.power_w[:, None] * gains * np.conj(aggregate)[:, None], axis=0)
         v = np.where(s == 0, 1.0 + 0.0j, np.exp(-1j * np.angle(s)))
@@ -141,43 +110,20 @@ def _best_grid_point(segment, occupied, aggregate, n_active, users, layout, para
     h = (aggregate[:, None] + v * gains) / np.sqrt(n_active + 1)
     snr = np.sum(users.power_w[:, None] * np.abs(h) ** 2, axis=0) / params.noise_power_w
     i = int(np.argmax(snr))
-    return float(pts[i]), float(np.log2(1.0 + snr[i]))
+    return float(pts[i]), float(np.log2(1.0 + snr[i])), gains[:, i]
 
 
-def place_in_segment(segment, current: Placement, users, layout, params, grid_points, phase_mode="none"):
-    """Best feasible grid position for a trial antenna, previous antennas fixed.
+def build_phase_matrix(gains: np.ndarray, power_w: np.ndarray) -> np.ndarray:
+    """Hermitian matrix A of the phase problem from a (K, S) gain matrix.
 
-    Returns (position, sum_rate). With phase_mode "align" the trial antenna's
-    phase shifter is set to the single-element optimum against the committed
-    aggregate; "none" keeps it at zero. Raises SegmentInfeasibleError when the
-    whole grid violates the spacing constraint.
+    A[m, n] = sum_k P_k g_{k,m} conj(g_{k,n}); the sum-rate objective of a
+    unit-modulus phase vector v is the quadratic form v^T A v*.
     """
-    if phase_mode not in ("none", "align"):
-        raise ValueError(f"unknown phase_mode {phase_mode!r}")
-    if segment in current.positions:
-        raise ValueError(f"segment {segment} is already active")
-    aggregate = _aggregate_channel_sums(users, current, layout, params)
-    return _best_grid_point(
-        segment, current.position_array(), aggregate, current.num_active,
-        users, layout, params, grid_points, phase_mode,
-    )
-
-
-def build_phase_matrix(placement: Placement, users, layout, params) -> PhaseMatrix:
-    """Quadratic-form matrix of the phase problem at the given placement."""
-    if not placement.active:
-        raise ValueError("placement has no active segments")
-    g = cascaded_gain_matrix(users, placement, layout, params)
-    return PhaseMatrix(segments=placement.active, values=_phase_matrix_values(g, users.power_w))
-
-
-def _phase_matrix_values(gains: np.ndarray, power_w: np.ndarray) -> np.ndarray:
     return (gains * power_w[:, None]).T @ np.conj(gains)
 
 
-def quadratic_objective(matrix: PhaseMatrix, v: np.ndarray) -> float:
+def quadratic_objective(a: np.ndarray, v: np.ndarray) -> float:
     """Real value of the quadratic form v^T A v* for a unit-modulus vector v."""
-    a = matrix.values
     return float(np.real(np.dot(v, a @ np.conj(v))))
 
 
@@ -200,7 +146,7 @@ def _element_update(a: np.ndarray, v: np.ndarray, m: int):
     return np.exp(-1j * np.angle(s))
 
 
-def phase_alternating_opt(matrix: PhaseMatrix, init=None, tol: float = 1e-8, max_iter: int = 100) -> PhaseOptResult:
+def phase_alternating_opt(a: np.ndarray, init=None, tol: float = 1e-8, max_iter: int = 100) -> PhaseOptResult:
     """Element-wise alternating maximization of the unit-modulus quadratic form.
 
     Starts from `init` (all-zero phases when omitted) and sweeps the entries
@@ -209,8 +155,7 @@ def phase_alternating_opt(matrix: PhaseMatrix, init=None, tol: float = 1e-8, max
     the relative objective improvement over a full sweep drops below `tol`
     or after `max_iter` sweeps. Returns phases in [0, 2*pi).
     """
-    s = matrix.size
-    a = matrix.values
+    s = a.shape[0]
     if init is None:
         v = np.ones(s, dtype=complex)
     else:
@@ -221,12 +166,12 @@ def phase_alternating_opt(matrix: PhaseMatrix, init=None, tol: float = 1e-8, max
             raise ValueError("init entries must be unit-modulus")
     if s == 1:
         return PhaseOptResult(_wrap_phases(v), float(np.real(a[0, 0])), 0)
-    obj = quadratic_objective(matrix, v)
+    obj = quadratic_objective(a, v)
     iterations = 0
     for sweep in range(1, max_iter + 1):
         for m in range(s):
             v[m] = _element_update(a, v, m)
-        new_obj = quadratic_objective(matrix, v)
+        new_obj = quadratic_objective(a, v)
         iterations = sweep
         if new_obj - obj <= tol * max(abs(obj), 1e-300):
             obj = new_obj
@@ -235,48 +180,48 @@ def phase_alternating_opt(matrix: PhaseMatrix, init=None, tol: float = 1e-8, max
     return PhaseOptResult(_wrap_phases(v), float(obj), iterations)
 
 
-def _rate_from_objective(objective: float, n_active: int, params: SystemParams) -> float:
-    return float(np.log2(1.0 + objective / (n_active * params.noise_power_w)))
-
-
 def _greedy(users, layout, params, grid_points, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
+    # Committed state in activation order: segments, positions, phases and
+    # the (K, S) gain matrix whose columns are reused by every later level.
     num_segments = layout.num_segments
-    placement = Placement.empty()
-    phase_mode = "align" if type2 else "none"
+    active: list[int] = []
+    positions: list[float] = []
+    gains = np.zeros((users.num_users, 0), dtype=complex)
+    aggregate = np.zeros(users.num_users, dtype=complex)
     levels: list[TraceLevel] = []
     for level in range(1, num_segments + 1):
-        aggregate = _aggregate_channel_sums(users, placement, layout, params)
-        occupied = placement.position_array()
+        occupied = np.array(positions, dtype=float)
         best = None
         for m in range(num_segments):
-            if m in placement.positions:
+            if m in active:
                 continue
             try:
-                pos, rate = _best_grid_point(
-                    m, occupied, aggregate, placement.num_active,
-                    users, layout, params, grid_points, phase_mode,
+                pos, rate, column = _best_grid_point(
+                    m, occupied, aggregate, len(active), users, layout, params, grid_points, type2,
                 )
             except SegmentInfeasibleError:
                 continue
+            trial_phases = None
             if type2:
-                trial = placement.with_segment(m, pos)
-                pm = build_phase_matrix(trial, users, layout, params)
-                res = phase_alternating_opt(pm, tol=tol, max_iter=max_iter)
-                rate = _rate_from_objective(res.objective, trial.num_active, params)
-                phase_map = dict(zip(trial.active, res.phases.tolist()))
-            else:
-                phase_map = None
+                trial = np.concatenate([gains, column[:, None]], axis=1)
+                res = phase_alternating_opt(build_phase_matrix(trial, users.power_w), tol=tol, max_iter=max_iter)
+                rate = float(np.log2(1.0 + res.objective / ((len(active) + 1) * params.noise_power_w)))
+                trial_phases = res.phases
             if best is None or rate > best[0]:
-                best = (rate, m, pos, phase_map)
+                best = (rate, m, pos, column, trial_phases)
         if best is None:
             prev = levels[-1]
             levels.append(TraceLevel(level=level, segment=None, position=None,
                                      placement=prev.placement, rate=prev.rate, degenerate=True))
             continue
-        rate, m, pos, phase_map = best
-        placement = placement.with_segment(m, pos)
-        if phase_map is not None:
-            placement = placement.with_phases(phase_map)
+        rate, m, pos, column, trial_phases = best
+        active.append(m)
+        positions.append(pos)
+        gains = np.concatenate([gains, column[:, None]], axis=1)
+        phases = np.zeros(len(active)) if trial_phases is None else trial_phases
+        aggregate = gains @ np.exp(1j * phases)
+        placement = Placement(active=tuple(active), positions=dict(zip(active, positions)),
+                              phases=dict(zip(active, phases.tolist())))
         levels.append(TraceLevel(level=level, segment=m, position=pos, placement=placement, rate=rate))
     return GreedyTrace(levels=tuple(levels))
 
@@ -347,8 +292,7 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
                 gains[:, m] = trial_gains[:, i]
                 snr = float(snrs[i])
         if variant == "type2":
-            pm = PhaseMatrix(segments=tuple(range(num_segments)), values=_phase_matrix_values(gains, users.power_w))
-            res = phase_alternating_opt(pm, init=w, tol=tol)
+            res = phase_alternating_opt(build_phase_matrix(gains, users.power_w), init=w, tol=tol)
             w_new = np.exp(1j * res.phases)
             snr_new = snr_of(gains, w_new)
             if snr_new >= snr:

@@ -185,7 +185,7 @@ class TestEffectiveChannel:
             g = cascaded_gain(user, m, pl.positions[m], self.layout, self.params)
             phases[m] = float(-np.angle(g)) % (2 * np.pi)
             total += abs(g)
-        aligned = pl.with_phases(phases)
+        aligned = Placement(active=pl.active, positions=pl.positions, phases=phases)
         h = effective_channel(aligned, user, self.layout, self.params)
         assert abs(h) == pytest.approx(total / np.sqrt(pl.num_active), rel=1e-12)
 

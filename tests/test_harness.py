@@ -1,6 +1,10 @@
 """Config ingestion, sweep engine, CSV persistence, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from swanopt.harness import (
     run_segment_sweep,
     run_single,
     run_user_sweep,
-    sidecar_text,
     sweep_csv_text,
     trace_csv_text,
     write_sweep_result,
@@ -247,6 +250,32 @@ class TestSingleRun:
             run_single(self.make_config(num_segments=None))
 
 
+class TestReferenceTrace:
+    # Recorded from configs/single_run.cfg before the greedy search moved to
+    # cached gain columns; the rewrite must reproduce it.
+    REFERENCE = Path(__file__).parent / "data" / "single_run_trace.csv"
+    CONFIG = Path(__file__).parents[1] / "configs" / "single_run.cfg"
+
+    @staticmethod
+    def phases(cell):
+        pairs = [item.split(":") for item in cell.split(";")]
+        return [int(m) for m, _ in pairs], [float(v) for _, v in pairs]
+
+    def test_single_run_matches_recorded_trace(self):
+        got = trace_csv_text(run_single(ExperimentConfig.from_file(self.CONFIG))).splitlines()
+        want = self.REFERENCE.read_text().splitlines()
+        assert got[0] == want[0] and len(got) == len(want)
+        for line, ref in zip(got[1:], want[1:]):
+            cells, ref_cells = line.split(","), ref.split(",")
+            # scheme, level, segment, position, degenerate and best flags match exactly
+            assert cells[:4] + cells[6:] == ref_cells[:4] + ref_cells[6:]
+            assert float(cells[5]) == pytest.approx(float(ref_cells[5]), rel=1e-12, abs=0)
+            segments, values = self.phases(cells[4])
+            ref_segments, ref_values = self.phases(ref_cells[4])
+            assert segments == ref_segments
+            assert values == pytest.approx(ref_values, rel=1e-12, abs=0)
+
+
 class TestPersistence:
     def test_csv_and_sidecar_written(self, tmp_path):
         cfg = ExperimentConfig(num_users=1, segment_sweep=(2,), grid_points=20,
@@ -261,7 +290,8 @@ class TestPersistence:
         assert meta["sweep_var"] == "M"
         assert meta["tool_version"]
         assert "2" in meta["resample_counts"]
-        assert sidecar_text(res) == sidecar_text(res)
+        write_sweep_result(res, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv.meta.json").read_bytes() == (tmp_path / "sweep.csv.meta.json").read_bytes()
 
     def test_float_formatting_has_full_precision(self):
         cfg = ExperimentConfig(num_users=1, segment_sweep=(2,), grid_points=20,
@@ -321,3 +351,26 @@ class TestCli:
         cfg = self.write_config(tmp_path, "num_users = 1\nsegment_sweep = 2\nschemes = bound-integral\n")
         assert cli_main(["bound-sweep", "--config", cfg]) == 2
         assert "output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("height_m", "nan"), ("noise_dbm", "inf")])
+    def test_non_finite_value_reports_error(self, tmp_path, capsys, key, value):
+        text = f"num_users = 1\nnum_segments = 2\ngrid_points = 20\nschemes = hssa-1\n{key} = {value}\n"
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "trace.csv"
+        assert cli_main(["single-run", "--config", cfg, "--output", str(out), "--quiet"]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unsatisfiable_bound_redraws_report_error(self, tmp_path):
+        # Six users all inside a 1 m waveguide over a 20 m region takes ~6e7
+        # redraws on average; the cap turns that into an error. A subprocess
+        # with a timeout keeps a regression from hanging the suite.
+        text = "num_users = 6\nsegment_sweep = 1\nrealizations = 1\nschemes = bound-exact\n"
+        cfg = self.write_config(tmp_path, text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "swanopt.cli", "bound-sweep",
+             "--config", cfg, "--output", str(tmp_path / "x.csv"), "--quiet"],
+            env=dict(os.environ), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "redraws" in proc.stderr

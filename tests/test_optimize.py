@@ -9,17 +9,16 @@ from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_ga
 from swanopt.geometry import Placement, SystemParams, build_centered_layout, sample_users
 from swanopt.optimize import (
     GreedyTrace,
-    PhaseMatrix,
     SegmentInfeasibleError,
+    _best_grid_point,
     _element_update,
+    _infeasible_mask,
     build_phase_matrix,
     candidate_grid,
     full_sa_baseline,
     greedy_hssa_type1,
     greedy_hssa_type2,
-    infeasible_points,
     phase_alternating_opt,
-    place_in_segment,
     quadratic_objective,
 )
 
@@ -35,8 +34,16 @@ def params_28ghz(**kw):
 def random_matrix(rng, num_segments, num_users):
     gains = rng.normal(size=(num_users, num_segments)) + 1j * rng.normal(size=(num_users, num_segments))
     powers = rng.uniform(0.001, 0.02, num_users)
-    values = (gains * powers[:, None]).T @ np.conj(gains)
-    return PhaseMatrix(segments=tuple(range(num_segments)), values=values), gains, powers
+    return (gains * powers[:, None]).T @ np.conj(gains), gains, powers
+
+
+def place(segment, current, users, layout, params, grid_points, align=False):
+    """(position, rate, gain column) of the best grid point against a committed placement."""
+    aggregate = np.zeros(users.num_users, dtype=complex)
+    if current.active:
+        aggregate = cascaded_gain_matrix(users, current, layout, params) @ np.exp(1j * current.phase_array())
+    return _best_grid_point(segment, current.position_array(), aggregate, current.num_active,
+                            users, layout, params, grid_points, align)
 
 
 class TestCandidateGrid:
@@ -64,13 +71,13 @@ class TestCandidateGrid:
 class TestInfeasiblePoints:
     def test_empty_placement_excludes_nothing(self):
         grid = np.array([0.0, 0.5, 0.9, 1.1])
-        assert infeasible_points(grid, Placement.empty(), 0.2).size == 0
+        assert not _infeasible_mask(grid, Placement.empty().position_array(), 0.2).any()
 
     def test_points_near_placed_antenna_excluded(self):
         lay = build_centered_layout(4, 1.0, 3.0, region_center_x=2.0)
         placed = Placement.empty().with_segment(0, 1.0)
         grid = np.array([0.0, 0.5, 0.9, 1.1])
-        assert list(infeasible_points(grid, placed, 0.2)) == [0.9, 1.1]
+        assert list(grid[_infeasible_mask(grid, placed.position_array(), 0.2)]) == [0.9, 1.1]
 
     def test_exclusion_count_bounded_on_uniform_grid(self):
         # A neighbor antenna parked at a shared edge can knock out at most
@@ -80,9 +87,9 @@ class TestInfeasiblePoints:
         placed = Placement.empty().with_segment(0, 1.0)
         for q in (100, 1000):
             grid = candidate_grid(1, lay, q)
-            excluded = infeasible_points(grid, placed, params.min_spacing_m)
+            excluded = _infeasible_mask(grid, placed.position_array(), params.min_spacing_m)
             cap = math.ceil(params.min_spacing_m * (q - 1) / 1.0) + 1
-            assert 1 <= excluded.size <= cap
+            assert 1 <= excluded.sum() <= cap
 
 
 class TestPlaceInSegment:
@@ -92,22 +99,24 @@ class TestPlaceInSegment:
 
     def test_single_user_lands_within_one_grid_step_of_projection(self):
         users = sample_users(1, 0.8, 6.0, 0.01, 41)
-        pos, _ = place_in_segment(1, Placement.empty(), users, self.layout, self.params, 101)
+        pos, _, _ = place(1, Placement.empty(), users, self.layout, self.params, 101)
         step = 1.0 / 100.0
         assert abs(pos - users.x[0]) <= step
 
     def test_phase_mode_immaterial_for_first_antenna(self):
         users = sample_users(2, 2.5, 10.0, 0.01, 43)
-        res_none = place_in_segment(0, Placement.empty(), users, self.layout, self.params, 40, "none")
-        res_align = place_in_segment(0, Placement.empty(), users, self.layout, self.params, 40, "align")
-        assert res_none == res_align
+        pos_none, rate_none, col_none = place(0, Placement.empty(), users, self.layout, self.params, 40)
+        pos_align, rate_align, col_align = place(0, Placement.empty(), users, self.layout, self.params, 40, True)
+        assert (pos_none, rate_none) == (pos_align, rate_align)
+        assert np.array_equal(col_none, col_align)
 
     def test_returned_point_beats_every_feasible_grid_point(self):
         users = sample_users(3, 2.5, 12.0, 0.01, 47)
         current = Placement.empty().with_segment(0, -1.2).with_segment(2, 0.8)
-        pos, rate = place_in_segment(1, current, users, self.layout, self.params, 50)
+        pos, rate, column = place(1, current, users, self.layout, self.params, 50)
+        assert np.array_equal(column, segment_gains(users, 1, pos, self.layout, self.params))
         grid = candidate_grid(1, self.layout, 50)
-        bad = set(infeasible_points(grid, current, self.params.min_spacing_m).tolist())
+        bad = set(grid[_infeasible_mask(grid, current.position_array(), self.params.min_spacing_m)].tolist())
         for x in grid:
             if float(x) in bad:
                 continue
@@ -119,7 +128,7 @@ class TestPlaceInSegment:
     def test_aligned_mode_maximizes_single_element_alignment(self):
         users = sample_users(3, 2.5, 12.0, 0.01, 53)
         current = Placement.empty().with_segment(0, -1.2, phase=0.7).with_segment(2, 0.8, phase=2.1)
-        pos, rate = place_in_segment(1, current, users, self.layout, self.params, 40, "align")
+        pos, rate, _ = place(1, current, users, self.layout, self.params, 40, True)
         g_cur = cascaded_gain_matrix(users, current, self.layout, self.params)
         agg = g_cur @ np.exp(1j * current.phase_array())
         grid = candidate_grid(1, self.layout, 40)
@@ -142,15 +151,7 @@ class TestPlaceInSegment:
         users = sample_users(1, 1.5, 4.0, 0.01, 3)
         current = Placement.empty().with_segment(0, -0.5)
         with pytest.raises(SegmentInfeasibleError):
-            place_in_segment(1, current, users, lay, params, 20)
-
-    def test_rejects_active_segment_and_bad_mode(self):
-        users = sample_users(1, 2.0, 4.0, 0.01, 5)
-        current = Placement.empty().with_segment(1, 0.0)
-        with pytest.raises(ValueError):
-            place_in_segment(1, current, users, self.layout, self.params, 10)
-        with pytest.raises(ValueError):
-            place_in_segment(0, current, users, self.layout, self.params, 10, "fancy")
+            place(1, current, users, lay, params, 20)
 
 
 class TestGreedyTypeOne:
@@ -162,13 +163,13 @@ class TestGreedyTypeOne:
         users = sample_users(1, 0.9, 5.0, 0.01, 61)
         trace = greedy_hssa_type1(users, lay, self.params, 60)
         assert len(trace.levels) == 1 and trace.best_level == 1
-        pos, rate = place_in_segment(0, Placement.empty(), users, lay, self.params, 60)
+        pos, rate, _ = place(0, Placement.empty(), users, lay, self.params, 60)
         assert trace.levels[0].position == pos and trace.levels[0].rate == rate
 
     def test_first_pick_matches_single_segment_oracle(self):
         lay = build_centered_layout(3, 1.0, 3.0)
         users = sample_users(1, 0.9, 8.0, 0.01, 67)  # projection inside the middle segment
-        per_segment = [place_in_segment(m, Placement.empty(), users, lay, self.params, 80)[1]
+        per_segment = [place(m, Placement.empty(), users, lay, self.params, 80)[1]
                        for m in range(3)]
         trace = greedy_hssa_type1(users, lay, self.params, 80)
         assert trace.levels[0].segment == int(np.argmax(per_segment)) == 1
@@ -221,11 +222,11 @@ class TestPhaseMatrix:
     def test_single_user_two_segments_is_rank_one(self):
         users = sample_users(1, 3.0, 6.0, 0.01, 89)
         pl = Placement.empty().with_segment(0, -1.6).with_segment(2, 0.4)
-        pm = build_phase_matrix(pl, users, self.layout, self.params)
+        pm = build_phase_matrix(cascaded_gain_matrix(users, pl, self.layout, self.params), users.power_w)
         g = cascaded_gain_matrix(users, pl, self.layout, self.params)[0]
         expected = 0.01 * np.outer(g, np.conj(g))
-        assert pm.values == pytest.approx(expected, rel=1e-12)
-        s = np.linalg.svd(pm.values, compute_uv=False)
+        assert pm == pytest.approx(expected, rel=1e-12)
+        s = np.linalg.svd(pm, compute_uv=False)
         assert s[1] <= 1e-12 * s[0]
 
     def test_hermitian_with_real_nonnegative_diagonal(self):
@@ -234,9 +235,9 @@ class TestPhaseMatrix:
         for m in range(4):
             lo, hi = self.layout.segment_interval(m)
             pl = pl.with_segment(m, (lo + hi) / 2 + 0.01 * m)
-        pm = build_phase_matrix(pl, users, self.layout, self.params)
-        assert np.max(np.abs(pm.values - pm.values.conj().T)) < 1e-12 * np.max(np.abs(pm.values))
-        diag = pm.values.diagonal()
+        pm = build_phase_matrix(cascaded_gain_matrix(users, pl, self.layout, self.params), users.power_w)
+        assert np.max(np.abs(pm - pm.conj().T)) < 1e-12 * np.max(np.abs(pm))
+        diag = pm.diagonal()
         assert np.all(np.abs(diag.imag) <= 1e-12 * diag.real)
         assert np.all(diag.real >= 0.0)
 
@@ -251,7 +252,7 @@ class TestPhaseMatrix:
 
 class TestPhaseAlternatingOpt:
     def test_single_segment_returns_init(self):
-        pm = PhaseMatrix(segments=(3,), values=np.array([[2.5 + 0j]]))
+        pm = np.array([[2.5 + 0j]])
         init = np.array([np.exp(1j * 0.9)])
         phases, objective, iterations = phase_alternating_opt(pm, init=init)
         assert phases == pytest.approx([0.9]) and objective == 2.5 and iterations == 0
@@ -265,7 +266,7 @@ class TestPhaseAlternatingOpt:
             obj = quadratic_objective(pm, v)
             for _sweep in range(10):
                 for m in range(s):
-                    v[m] = _element_update(pm.values, v, m)
+                    v[m] = _element_update(pm, v, m)
                     new = quadratic_objective(pm, v)
                     assert new >= obj - 1e-13 * max(abs(obj), 1.0)
                     obj = new
@@ -280,7 +281,7 @@ class TestPhaseAlternatingOpt:
             for m in range(8):
                 lo, hi = lay.segment_interval(m)
                 pl = pl.with_segment(m, float(rng.uniform(lo, hi)))
-            pm = build_phase_matrix(pl, users, lay, params)
+            pm = build_phase_matrix(cascaded_gain_matrix(users, pl, lay, params), users.power_w)
             _, objective, _ = phase_alternating_opt(pm)
             g = cascaded_gain_matrix(users, pl, lay, params)[0]
             target = 0.01 * np.sum(np.abs(g)) ** 2
@@ -292,7 +293,7 @@ class TestPhaseAlternatingOpt:
         _, objective, _ = phase_alternating_opt(pm)
         thetas = rng.uniform(0, TWO_PI, size=(10_000, 3))
         vs = np.exp(1j * thetas)
-        samples = np.real(np.einsum("qs,st,qt->q", vs, pm.values, np.conj(vs)))
+        samples = np.real(np.einsum("qs,st,qt->q", vs, pm, np.conj(vs)))
         assert objective >= samples.max()
 
     def test_outputs_unit_modulus_phases_in_range(self):
@@ -304,7 +305,7 @@ class TestPhaseAlternatingOpt:
         assert np.allclose(np.abs(np.exp(1j * phases)), 1.0, atol=1e-12)
 
     def test_decoupled_matrix_is_stationary(self):
-        pm = PhaseMatrix(segments=(0, 1), values=np.diag([1.0 + 0j, 2.0 + 0j]))
+        pm = np.diag([1.0 + 0j, 2.0 + 0j])
         init = np.exp(1j * np.array([0.3, 5.1]))
         phases, objective, iterations = phase_alternating_opt(pm, init=init)
         assert phases == pytest.approx([0.3, 5.1])
@@ -312,7 +313,7 @@ class TestPhaseAlternatingOpt:
         assert iterations == 1
 
     def test_rejects_non_unit_init(self):
-        pm = PhaseMatrix(segments=(0, 1), values=np.eye(2, dtype=complex))
+        pm = np.eye(2, dtype=complex)
         with pytest.raises(ValueError):
             phase_alternating_opt(pm, init=np.array([1.0, 0.5]))
 
@@ -366,7 +367,7 @@ class TestFullSegmentAggregationBaseline:
     def test_single_segment_equals_grid_placement(self):
         lay = build_centered_layout(1, 1.0, 3.0)
         users = sample_users(2, 0.9, 6.0, 0.01, 149)
-        pos, rate = place_in_segment(0, Placement.empty(), users, lay, self.params, 51)
+        pos, rate, _ = place(0, Placement.empty(), users, lay, self.params, 51)
         placement, sa_rate = full_sa_baseline(users, lay, self.params, 51, "type1")
         assert placement.positions[0] == pos
         assert sa_rate == pytest.approx(rate, rel=1e-12)
