@@ -315,7 +315,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     for value, num_segments, num_users in points:
         layout = config.layout_for(num_segments)
         coverage = layout.extent[1] - layout.extent[0]
-        if coverage < config.region_x_m * (1 - 1e-12):
+        if needs_bound_users and coverage < config.region_x_m * (1 - 1e-12):
             warnings.warn(
                 f"waveguide coverage {coverage:.6g} m is narrower than the "
                 f"{config.region_x_m:.6g} m user region; bound schemes resample "

@@ -12,6 +12,12 @@ for comparison: repeated index-order sweeps re-optimize one antenna position
 at a time over its feasible grid, with an optional phase re-optimization
 after each sweep.
 
+The phase-shifter search grid-searches every candidate first and then runs
+AO in descending order of a coherent upper bound on the phase objective,
+skipping the candidates whose bound cannot beat the incumbent; the result is
+the same as running AO on all of them. Grid gains are computed once per
+scheme call.
+
 Determinism: ties between candidate segments resolve to the smallest segment
 index, ties between grid points to the smallest coordinate, and phase updates
 run in ascending index order. Identical inputs give bit-identical traces.
@@ -27,6 +33,10 @@ from .channel import cascaded_gain_matrix, segment_gains  # noqa: F401
 from .geometry import Placement, WaveguideLayout
 
 TWO_PI = 2.0 * np.pi
+# Relative widening of the coherent bound before the phase-shifter search
+# prunes by it. AO reaches the bound itself at K = 1, so the bound's float
+# error must never prune a winner; 1e-9 is far above that error.
+BOUND_MARGIN = 1e-9
 
 
 class SegmentInfeasibleError(RuntimeError):
@@ -86,21 +96,48 @@ def _infeasible_mask(grid: np.ndarray, positions: np.ndarray, min_spacing_m: flo
     return (np.abs(grid[:, None] - positions[None, :]) < min_spacing_m).any(axis=1)
 
 
-def _best_grid_point(segment, occupied, aggregate, n_active, users, layout, params, grid_points, align):
+def _grid_gain_table(users, layout, params, grid_points) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per segment, its candidate grid and the (K, Q) gains at every grid point.
+
+    The gains do not depend on the other antennas, so one table serves every
+    level of a greedy run and every sweep of the baseline; it costs
+    M * K * Q * 16 bytes. Slicing a block gives the bits `segment_gains`
+    returns on the same subset, because the kernel is elementwise.
+    """
+    table = []
+    for m in range(layout.num_segments):
+        grid = candidate_grid(m, layout, grid_points)
+        table.append((grid, segment_gains(users, m, grid, layout, params)))
+    return table
+
+
+def _feasible(grid, block, occupied, min_spacing_m):
+    """Grid points at least `min_spacing_m` from every occupied position, with their gain columns.
+
+    Returns None when no point is feasible; the block is sliced only when some point is not.
+    """
+    mask = _infeasible_mask(grid, occupied, min_spacing_m)
+    if not mask.any():
+        return grid, block
+    if mask.all():
+        return None
+    return grid[~mask], block[:, ~mask]
+
+
+def _best_grid_point(grid, block, occupied, aggregate, n_active, users, params, align):
     """Best feasible grid position for a trial antenna, committed antennas fixed.
 
+    `grid` and `block` are one segment's entry of the grid-gain table.
     `aggregate` holds the per-user unnormalized channel sums of the committed
     antennas. With `align` the trial antenna's phase shifter is set to the
     single-element optimum against that aggregate; otherwise it stays at zero.
     Returns (position, sum_rate, gain column at that position). Raises
     SegmentInfeasibleError when the whole grid violates the spacing constraint.
     """
-    grid = candidate_grid(segment, layout, grid_points)
-    mask = _infeasible_mask(grid, occupied, params.min_spacing_m)
-    if mask.all():
-        raise SegmentInfeasibleError(f"no feasible grid point left in segment {segment}")
-    pts = grid[~mask]
-    gains = segment_gains(users, segment, pts, layout, params)
+    feasible = _feasible(grid, block, occupied, params.min_spacing_m)
+    if feasible is None:
+        raise SegmentInfeasibleError("no feasible grid point left in the segment")
+    pts, gains = feasible
     if align and n_active:
         # Best phase for the new antenna with all committed phases held fixed.
         s = np.sum(users.power_w[:, None] * gains * np.conj(aggregate)[:, None], axis=0)
@@ -180,45 +217,79 @@ def phase_alternating_opt(a: np.ndarray, init=None, tol: float = 1e-8, max_iter:
     return PhaseOptResult(_wrap_phases(v), float(obj), iterations)
 
 
+def _coherent_bound(gains: np.ndarray, power_w: np.ndarray) -> float:
+    """sum_k P_k (sum_j |g_kj|)^2 for a (K, S) gain matrix.
+
+    Every user's terms adding in phase: an upper bound on the phase
+    objective v^T A v* for every unit-modulus v, reached at K = 1.
+    """
+    return float(power_w @ np.abs(gains).sum(axis=1) ** 2)
+
+
+def _best_phase_candidate(candidates, gains, users, noise_scale, tol, max_iter):
+    """Winner among the grid-searched (segment, position, rate, column) candidates after phase AO.
+
+    AO runs in descending order of the candidates' coherent bounds and stops
+    once even a bound, widened by BOUND_MARGIN, has a lower rate than the
+    incumbent, so no stopped candidate can reach the incumbent's rate.
+    Comparing rates rather than objectives keeps this exact at low SNR,
+    where close objectives round to the same rate and the tie must go to the
+    smallest segment. Returns (rate, segment, position, column, phases).
+    """
+
+    def rate_of(objective):
+        return float(np.log2(1.0 + objective / noise_scale))
+
+    trials = [np.concatenate([gains, column[:, None]], axis=1) for _, _, _, column in candidates]
+    bounds = [_coherent_bound(trial, users.power_w) for trial in trials]
+    best = None
+    for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
+        if best is not None and rate_of(bounds[i] * (1.0 + BOUND_MARGIN)) < best[0]:
+            break
+        m, pos, _, column = candidates[i]
+        res = phase_alternating_opt(build_phase_matrix(trials[i], users.power_w), tol=tol, max_iter=max_iter)
+        rate = rate_of(res.objective)
+        if best is None or rate > best[0] or (rate == best[0] and m < best[1]):
+            best = (rate, m, pos, column, res.phases)
+    return best
+
+
 def _greedy(users, layout, params, grid_points, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
     # Committed state in activation order: segments, positions, phases and
     # the (K, S) gain matrix whose columns are reused by every later level.
-    num_segments = layout.num_segments
+    table = _grid_gain_table(users, layout, params, grid_points)
     active: list[int] = []
     positions: list[float] = []
     gains = np.zeros((users.num_users, 0), dtype=complex)
     aggregate = np.zeros(users.num_users, dtype=complex)
     levels: list[TraceLevel] = []
-    for level in range(1, num_segments + 1):
+    for level in range(1, layout.num_segments + 1):
         occupied = np.array(positions, dtype=float)
-        best = None
-        for m in range(num_segments):
+        candidates = []  # (segment, position, rate, column) in ascending segment order
+        for m, (grid, block) in enumerate(table):
             if m in active:
                 continue
             try:
-                pos, rate, column = _best_grid_point(
-                    m, occupied, aggregate, len(active), users, layout, params, grid_points, type2,
-                )
+                pos, rate, column = _best_grid_point(grid, block, occupied, aggregate, len(active),
+                                                     users, params, type2)
             except SegmentInfeasibleError:
                 continue
-            trial_phases = None
-            if type2:
-                trial = np.concatenate([gains, column[:, None]], axis=1)
-                res = phase_alternating_opt(build_phase_matrix(trial, users.power_w), tol=tol, max_iter=max_iter)
-                rate = float(np.log2(1.0 + res.objective / ((len(active) + 1) * params.noise_power_w)))
-                trial_phases = res.phases
-            if best is None or rate > best[0]:
-                best = (rate, m, pos, column, trial_phases)
-        if best is None:
+            candidates.append((m, pos, rate, column))
+        if not candidates:
             prev = levels[-1]
             levels.append(TraceLevel(level=level, segment=None, position=None,
                                      placement=prev.placement, rate=prev.rate, degenerate=True))
             continue
-        rate, m, pos, column, trial_phases = best
+        if type2:
+            rate, m, pos, column, phases = _best_phase_candidate(
+                candidates, gains, users, (len(active) + 1) * params.noise_power_w, tol, max_iter)
+        else:
+            # max keeps the first of equal rates: the smallest segment.
+            m, pos, rate, column = max(candidates, key=lambda c: c[2])
+            phases = np.zeros(len(active) + 1)
         active.append(m)
         positions.append(pos)
         gains = np.concatenate([gains, column[:, None]], axis=1)
-        phases = np.zeros(len(active)) if trial_phases is None else trial_phases
         aggregate = gains @ np.exp(1j * phases)
         placement = Placement(active=tuple(active), positions=dict(zip(active, positions)),
                               phases=dict(zip(active, phases.tolist())))
@@ -266,6 +337,7 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
     phase = np.zeros(num_segments)
     w = np.exp(1j * phase)
     gains = np.stack([segment_gains(users, m, float(pos[m]), layout, params) for m in range(num_segments)], axis=1)
+    table = _grid_gain_table(users, layout, params, grid_points)
     scale = num_segments * params.noise_power_w
 
     def snr_of(gmat, vvec):
@@ -276,13 +348,11 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
     rate = float(np.log2(1.0 + snr))
     for _ in range(max_sweeps):
         prev_rate = rate
-        for m in range(num_segments):
-            grid = candidate_grid(m, layout, grid_points)
-            mask = _infeasible_mask(grid, np.delete(pos, m), params.min_spacing_m)
-            if mask.all():
+        for m, (grid, block) in enumerate(table):
+            feasible = _feasible(grid, block, np.delete(pos, m), params.min_spacing_m)
+            if feasible is None:
                 continue
-            pts = grid[~mask]
-            trial_gains = segment_gains(users, m, pts, layout, params)
+            pts, trial_gains = feasible
             agg_others = gains @ w - w[m] * gains[:, m]
             h2 = np.abs(agg_others[:, None] + w[m] * trial_gains) ** 2
             snrs = np.sum(users.power_w[:, None] * h2, axis=0) / scale

@@ -175,7 +175,15 @@ class TestSweepEngine:
 
     def test_warns_when_coverage_below_region(self):
         with pytest.warns(RuntimeWarning, match="narrower"):
-            run_segment_sweep(self.make_config(schemes=("hssa-1",), segment_sweep=(2,)))
+            run_segment_sweep(self.make_config(schemes=("bound-integral",), segment_sweep=(2,)))
+
+    def test_no_warning_for_optimizers_on_a_narrow_waveguide(self):
+        # Only the bound schemes resample, so an optimizer-only sweep has nothing to warn about.
+        import warnings as _warnings
+
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error", RuntimeWarning)
+            run_segment_sweep(self.make_config(segment_sweep=(2,), realizations=1))
 
     def test_no_warning_when_segments_cover_region(self):
         import warnings as _warnings
@@ -274,6 +282,19 @@ class TestReferenceTrace:
             ref_segments, ref_values = self.phases(ref_cells[4])
             assert segments == ref_segments
             assert values == pytest.approx(ref_values, rel=1e-12, abs=0)
+
+
+class TestBenchmarkReferences:
+    # The benchmark's recorded sweep CSVs at their configs' own seeds; the
+    # optimizers must keep reproducing them byte for byte.
+    BENCH = Path(__file__).parents[1] / "perfbench"
+
+    @pytest.mark.parametrize("workload", ["desk-sweep", "switch-only"])
+    def test_cli_reproduces_reference_bytes(self, tmp_path, workload):
+        out = tmp_path / f"{workload}.csv"
+        config = self.BENCH / "configs" / f"{workload}.cfg"
+        assert cli_main(["segment-sweep", "--config", str(config), "--output", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == (self.BENCH / "reference" / f"{workload}.csv").read_bytes()
 
 
 class TestPersistence:

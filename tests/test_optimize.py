@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains
-from swanopt.geometry import Placement, SystemParams, build_centered_layout, sample_users
+from swanopt.geometry import Placement, SystemParams, UserSet, build_centered_layout, sample_users
 from swanopt.optimize import (
+    BOUND_MARGIN,
     GreedyTrace,
     SegmentInfeasibleError,
     _best_grid_point,
+    _coherent_bound,
     _element_update,
+    _grid_gain_table,
     _infeasible_mask,
     build_phase_matrix,
     candidate_grid,
@@ -42,8 +47,10 @@ def place(segment, current, users, layout, params, grid_points, align=False):
     aggregate = np.zeros(users.num_users, dtype=complex)
     if current.active:
         aggregate = cascaded_gain_matrix(users, current, layout, params) @ np.exp(1j * current.phase_array())
-    return _best_grid_point(segment, current.position_array(), aggregate, current.num_active,
-                            users, layout, params, grid_points, align)
+    grid = candidate_grid(segment, layout, grid_points)
+    block = segment_gains(users, segment, grid, layout, params)
+    return _best_grid_point(grid, block, current.position_array(), aggregate, current.num_active,
+                            users, params, align)
 
 
 class TestCandidateGrid:
@@ -90,6 +97,28 @@ class TestInfeasiblePoints:
             excluded = _infeasible_mask(grid, placed.position_array(), params.min_spacing_m)
             cap = math.ceil(params.min_spacing_m * (q - 1) / 1.0) + 1
             assert 1 <= excluded.sum() <= cap
+
+
+class TestGridGainTable:
+    @pytest.mark.parametrize("kappa", [0.0, 0.08])
+    @pytest.mark.parametrize("q", [200, 1000])
+    def test_sliced_blocks_equal_kernel_on_feasible_subset(self, q, kappa):
+        # Slicing must reproduce the kernel's bits on any subset, whatever
+        # SIMD lane an element fell into when the whole grid was computed.
+        params = params_28ghz(kappa_db_per_m=kappa)
+        lay = build_centered_layout(5, 1.0, 3.0)
+        users = sample_users(4, 10.0, 10.0, 0.01, 211)
+        rng = np.random.default_rng(q)
+        table = _grid_gain_table(users, lay, params, q)
+        assert len(table) == 5
+        for m, (grid, block) in enumerate(table):
+            assert np.array_equal(grid, candidate_grid(m, lay, q))
+            assert np.array_equal(block, segment_gains(users, m, grid, lay, params))
+            for infeasible_share in (0.01, 0.3, 0.97):
+                keep = rng.random(q) >= infeasible_share
+                assert np.array_equal(block[:, keep], segment_gains(users, m, grid[keep], lay, params))
+            i = int(rng.integers(q))
+            assert np.array_equal(block[:, i], segment_gains(users, m, float(grid[i]), lay, params))
 
 
 class TestPlaceInSegment:
@@ -358,6 +387,79 @@ class TestGreedyTypeTwo:
         t2 = greedy_hssa_type2(users, lay, self.params, 40)
         for l1, l2 in zip(t1.levels, t2.levels):
             assert l2.rate >= l1.rate - 1e-9
+
+
+@st.composite
+def greedy_scenarios(draw):
+    """Small hssa-2 instances: uneven powers, attenuation, and spacings up to 1.5 segment lengths."""
+    num_users = draw(st.integers(1, 4))
+    num_segments = draw(st.integers(2, 8))
+    seg_len = draw(st.floats(0.2, 2.0))
+    params = params_28ghz(
+        kappa_db_per_m=draw(st.sampled_from([0.0, 0.0, 0.05, 1.0])),
+        min_spacing_m=seg_len * draw(st.sampled_from([0.005, 0.3, 0.7, 1.0, 1.5])),
+        noise_power_w=10.0 ** draw(st.floats(-15.0, 4.0)),
+    )
+    layout = build_centered_layout(num_segments, seg_len, draw(st.floats(0.5, 6.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    region = num_segments * seg_len * draw(st.floats(0.3, 1.5))
+    users = UserSet(x=rng.uniform(-region / 2, region / 2, num_users),
+                    y=rng.uniform(-5.0, 5.0, num_users),
+                    power_w=10.0 ** rng.uniform(-4.0, 0.0, num_users))
+    return users, layout, params, draw(st.integers(2, 9))
+
+
+def exhaustive_phase_level(users, layout, params, grid_points, prefix):
+    """(rate, segment, position) of the best AO candidate after `prefix`, ties to the smallest segment."""
+    n = prefix.num_active
+    gains = np.zeros((users.num_users, 0), dtype=complex)
+    aggregate = np.zeros(users.num_users, dtype=complex)
+    if n:
+        gains = cascaded_gain_matrix(users, prefix, layout, params)
+        aggregate = gains @ np.exp(1j * prefix.phase_array())
+    best = None
+    for m in range(layout.num_segments):
+        if m in prefix.active:
+            continue
+        grid = candidate_grid(m, layout, grid_points)
+        block = segment_gains(users, m, grid, layout, params)
+        try:
+            pos, _, column = _best_grid_point(grid, block, prefix.position_array(), aggregate, n,
+                                              users, params, True)
+        except SegmentInfeasibleError:
+            continue
+        trial = np.concatenate([gains, column[:, None]], axis=1)
+        res = phase_alternating_opt(build_phase_matrix(trial, users.power_w))
+        rate = float(np.log2(1.0 + res.objective / ((n + 1) * params.noise_power_w)))
+        if best is None or rate > best[0]:
+            best = (rate, m, pos)
+    return best
+
+
+class TestBoundPruning:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(greedy_scenarios())
+    def test_committed_segment_is_the_exhaustive_argmax(self, scenario):
+        users, layout, params, grid_points = scenario
+        trace = greedy_hssa_type2(users, layout, params, grid_points)
+        prefix = Placement.empty()
+        for lvl in trace.levels:
+            oracle = exhaustive_phase_level(users, layout, params, grid_points, prefix)
+            if lvl.degenerate:
+                assert oracle is None
+                continue
+            assert (lvl.rate, lvl.segment, lvl.position) == oracle
+            prefix = lvl.placement
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_coherent_bound_caps_the_converged_objective(self, num_users, num_segments, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-6.0, 0.0, (num_users, num_segments))
+        gains = scale * (rng.normal(size=scale.shape) + 1j * rng.normal(size=scale.shape))
+        powers = 10.0 ** rng.uniform(-4.0, 0.0, num_users)
+        _, objective, _ = phase_alternating_opt(build_phase_matrix(gains, powers))
+        assert objective <= _coherent_bound(gains, powers) * (1.0 + BOUND_MARGIN)
 
 
 class TestFullSegmentAggregationBaseline:
