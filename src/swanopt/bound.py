@@ -12,6 +12,7 @@ Pure functions throughout; safe for arbitrary parallel invocation.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +59,14 @@ def split_for_user(user: User, layout: WaveguideLayout) -> SegmentSplit:
         raise ProjectionOutOfRangeError(
             f"user projection x={user.x} outside waveguide extent [{lo}, {hi}]"
         )
-    L = layout.segment_length_m
-    m_k = None
-    for m in range(layout.num_segments):
-        if user.x <= layout.feed_x[m] + L:
-            m_k = m
-            break
+    ends = layout.segment_ends
+    m_k = bisect_left(ends, user.x)
     return SegmentSplit(
         m_k=m_k,
         M_minus=m_k,
         M_plus=layout.num_segments - 1 - m_k,
         delta_minus=user.x - layout.feed_x[m_k],
-        delta_plus=layout.feed_x[m_k] + L - user.x,
+        delta_plus=ends[m_k] - user.x,
     )
 
 
@@ -135,10 +132,10 @@ def user_gain_bound(split: SegmentSplit, num_segments: int, length: float, d_sq:
 def _bound_rate(users: UserSet, layout: WaveguideLayout, params: SystemParams, partial_sum) -> float:
     total = 0.0
     d_sq = users.dist_sq_to_axis(layout.height_m)
+    num_segments, length, eta = layout.num_segments, layout.segment_length_m, params.eta
     for k in range(users.num_users):
         split = split_for_user(users[k], layout)
-        gain = user_gain_bound(split, layout.num_segments, layout.segment_length_m, float(d_sq[k]), params.eta,
-                               partial_sum)
+        gain = user_gain_bound(split, num_segments, length, float(d_sq[k]), eta, partial_sum)
         total += float(users.power_w[k]) * gain
     return float(np.log2(1.0 + total / params.noise_power_w))
 

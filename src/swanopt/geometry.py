@@ -9,6 +9,7 @@ share across concurrent workers.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +118,11 @@ class WaveguideLayout:
         """Closed interval [lo, hi] of admissible antenna positions in a segment."""
         lo = self.feed_x[segment]
         return lo, lo + self.segment_length_m
+
+    @cached_property
+    def segment_ends(self) -> tuple[float, ...]:
+        """Right edge feed_x[m] + L of every segment, in segment order."""
+        return tuple(x + self.segment_length_m for x in self.feed_x)
 
     @property
     def extent(self) -> tuple[float, float]:

@@ -11,16 +11,22 @@ user set for a given r, and runs reproduce byte-identical CSV output.
 
 Resampling policy: when a user projection falls outside the waveguide
 extent (possible while sweeping the segment count below region_x / L), the
-bound schemes redraw the whole realization from the same stream until all
-projections are inside, and the redraw count is recorded in the sidecar
-metadata; optimizer schemes keep the original draw, which they handle fine.
-A realization that needs more than MAX_REDRAWS redraws raises ValueError.
+bound schemes take the first draw of the realization's stream whose
+projections are all inside, and its index in the stream (the redraw count)
+is recorded in the sidecar metadata; optimizer schemes keep the original
+draw, which they handle fine. A realization that needs more than
+MAX_REDRAWS redraws raises ValueError. The stream does not depend on the
+segment count, so a sweep keeps each realization's Generator and the
+draws made so far across its points (until the user count changes) and
+draws further only when no kept draw fits; the accepted draws and counts
+are those of a fresh stream at every point.
 """
 
 import hashlib
 import json
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,6 +35,7 @@ from .bound import exact_amplitude_bound, sum_rate_bound
 from .geometry import (
     SPEED_OF_LIGHT_M_S,
     SystemParams,
+    UserSet,
     WaveguideLayout,
     build_centered_layout,
     dbm_to_watts,
@@ -257,24 +264,68 @@ def write_sweep_result(result: SweepResult, path) -> None:
     _write_with_sidecar(path, sweep_csv_text(result), result.config_hash, result.sweep_var, result.resample_counts)
 
 
-def _draw_realization(config: ExperimentConfig, num_users: int, realization: int, extent=None):
-    """Draw the users for one realization; returns (users, bound_users, redraws)."""
-    rng = np.random.default_rng([config.master_seed, realization])
-    users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, rng)
+class _UserStream:
+    """The draws of one realization's stream (master_seed, realization).
+
+    Draw 0 is the user set every scheme sees. Later draws are kept as their
+    x/y values plus x-range, not as UserSets, so that sweep points with the
+    same user count can reuse them.
+    """
+
+    def __init__(self, config: ExperimentConfig, num_users: int, realization: int):
+        self.config = config
+        self.num_users = num_users
+        self.rng = np.random.default_rng([config.master_seed, realization])
+        self.xy = array("d")  # per draw: its num_users x values, then its y values
+        self.x_min = array("d")
+        self.x_max = array("d")
+        self.users = self._draw()
+
+    def _draw(self) -> UserSet:
+        c = self.config
+        users = sample_users(self.num_users, c.region_x_m, c.region_y_m, c.tx_power_w, self.rng)
+        self.xy.extend(users.x)
+        self.xy.extend(users.y)
+        self.x_min.append(users.x.min())
+        self.x_max.append(users.x.max())
+        return users
+
+    def inside(self, lo: float, hi: float) -> tuple[UserSet, int]:
+        """The first draw with every projection in [lo, hi], and its index in the stream."""
+        j = 0
+        while True:
+            if j == len(self.x_min):
+                self._draw()
+            if lo <= self.x_min[j] and self.x_max[j] <= hi:
+                break
+            if j == MAX_REDRAWS:
+                raise ValueError(
+                    f"no draw of {self.num_users} users within {MAX_REDRAWS} redraws has every projection "
+                    f"inside the waveguide extent [{lo:.6g}, {hi:.6g}] m; widen the layout or narrow region_x_m"
+                )
+            j += 1
+        if j == 0:
+            return self.users, 0
+        k = self.num_users
+        start = 2 * k * j
+        return UserSet(x=self.xy[start:start + k], y=self.xy[start + k:start + 2 * k], power_w=self.users.power_w), j
+
+
+def _draw_realization(config: ExperimentConfig, num_users: int, realization: int, extent=None, streams=None):
+    """Draw the users for one realization; returns (users, bound_users, redraws).
+
+    `streams` maps realization indices to the streams drawn so far for this
+    `num_users`; a stream found there is reused and a new one is added.
+    """
+    if streams is None:
+        streams = {}
+    if realization not in streams:
+        streams[realization] = _UserStream(config, num_users, realization)
+    stream = streams[realization]
     if extent is None:
-        return users, users, 0
-    lo, hi = extent
-    bound_users = users
-    redraws = 0
-    while np.any(bound_users.x < lo) or np.any(bound_users.x > hi):
-        if redraws == MAX_REDRAWS:
-            raise ValueError(
-                f"no draw of {num_users} users within {MAX_REDRAWS} redraws has every projection inside "
-                f"the waveguide extent [{lo:.6g}, {hi:.6g}] m; widen the layout or narrow region_x_m"
-            )
-        bound_users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, rng)
-        redraws += 1
-    return users, bound_users, redraws
+        return stream.users, stream.users, 0
+    bound_users, redraws = stream.inside(*extent)
+    return stream.users, bound_users, redraws
 
 
 def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig):
@@ -312,7 +363,10 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     needs_bound_users = any(s in _BOUND_SCHEMES for s in config.schemes)
     rows = []
     resample_counts = {}
+    streams, streams_num_users = {}, None
     for value, num_segments, num_users in points:
+        if num_users != streams_num_users:
+            streams, streams_num_users = {}, num_users
         layout = config.layout_for(num_segments)
         coverage = layout.extent[1] - layout.extent[0]
         if needs_bound_users and coverage < config.region_x_m * (1 - 1e-12):
@@ -327,7 +381,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
         redrawn = 0
         for r in range(config.realizations):
             extent = layout.extent if needs_bound_users else None
-            users, bound_users, redraws = _draw_realization(config, num_users, r, extent)
+            users, bound_users, redraws = _draw_realization(config, num_users, r, extent, streams)
             redrawn += redraws
             for scheme in config.schemes:
                 chosen = bound_users if scheme in _BOUND_SCHEMES else users

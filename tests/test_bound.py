@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swanopt.bound import (
     ProjectionOutOfRangeError,
@@ -78,6 +80,37 @@ class TestSplitForUser:
             split_for_user(User(1.6, 0.0, 0.01), lay)
         with pytest.raises(ProjectionOutOfRangeError):
             split_for_user(User(-1.6, 0.0, 0.01), lay)
+
+
+def linear_scan_split(x, layout):
+    """The split found by scanning the segments left to right (test oracle)."""
+    L = layout.segment_length_m
+    for m in range(layout.num_segments):
+        if x <= layout.feed_x[m] + L:
+            return SegmentSplit(m, m, layout.num_segments - 1 - m, x - layout.feed_x[m], layout.feed_x[m] + L - x)
+    raise AssertionError("point right of the extent")
+
+
+@st.composite
+def layouts_with_points(draw):
+    """A contiguous layout plus points on segment edges, on both extent ends and inside."""
+    num_segments = draw(st.integers(1, 60))
+    length = draw(st.floats(1e-3, 10.0))
+    start = draw(st.floats(-100.0, 100.0))
+    layout = WaveguideLayout(length, tuple(start + m * length for m in range(num_segments)), 3.0)
+    lo, hi = layout.extent
+    edges = sorted(set(layout.feed_x) | {x + length for x in layout.feed_x})
+    points = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(lo, hi)), max_size=12))
+    return layout, [lo, hi, *points]
+
+
+class TestSplitForUserOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(layouts_with_points())
+    def test_bisection_matches_linear_scan(self, case):
+        layout, points = case
+        for x in points:
+            assert split_for_user(User(x, 0.0, 0.01), layout) == linear_scan_split(x, layout)
 
 
 class TestPartialSums:

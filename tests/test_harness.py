@@ -4,15 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import swanopt.harness as harness
 from swanopt.cli import main as cli_main
 from swanopt.geometry import sample_users
 from swanopt.harness import (
     CSV_HEADER,
+    MAX_REDRAWS,
     ExperimentConfig,
     _draw_realization,
     run_bound_sweep,
@@ -119,6 +124,63 @@ class TestDrawRealization:
         direct = sample_users(2, 20, 20, cfg.tx_power_w, [3, 0])
         assert np.array_equal(users.x, direct.x)
 
+    @staticmethod
+    def outcome(config, num_users, realization, extent, streams):
+        try:
+            return _draw_realization(config, num_users, realization, extent, streams)
+        except ValueError as exc:
+            return str(exc)
+
+    @staticmethod
+    def redraw_oracle(config, num_users, realization, extent, cap):
+        """Redraw from a fresh stream until every projection is inside; None past the cap."""
+        rng = np.random.default_rng([config.master_seed, realization])
+        users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, rng)
+        if extent is None:
+            return users, users, 0
+        bound_users, redraws = users, 0
+        while np.any(bound_users.x < extent[0]) or np.any(bound_users.x > extent[1]):
+            if redraws == cap:
+                return None
+            bound_users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, rng)
+            redraws += 1
+        return users, bound_users, redraws
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        num_users=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        region=st.tuples(st.floats(1.0, 50.0), st.floats(1.0, 50.0)),
+        cap=st.one_of(st.integers(0, 6), st.just(MAX_REDRAWS)),
+        # (left end, width) as fractions of region_x_m; None is an optimizer-only point
+        extents=st.lists(st.one_of(st.none(), st.tuples(st.floats(-0.6, 0.2), st.floats(0.25, 1.2))),
+                         min_size=1, max_size=5),
+        order=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), min_size=1, max_size=12),
+    )
+    def test_kept_streams_match_fresh_draws(self, num_users, seed, region, cap, extents, order):
+        # Any order of realizations and extents, repeated and non-nested ones
+        # included: reusing a realization's stream gives a fresh call's (and
+        # the redraw loop's) users, bound users and redraw count, or the same
+        # cap error.
+        cfg = ExperimentConfig(region_x_m=region[0], region_y_m=region[1], master_seed=seed)
+        streams = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "MAX_REDRAWS", cap)
+            for r, i in order:
+                frac = extents[i % len(extents)]
+                extent = None if frac is None else (region[0] * frac[0], region[0] * (frac[0] + frac[1]))
+                kept = self.outcome(cfg, num_users, r, extent, streams)
+                fresh = self.outcome(cfg, num_users, r, extent, None)
+                want = self.redraw_oracle(cfg, num_users, r, extent, cap)
+                if want is None:
+                    assert isinstance(kept, str) and "redraws" in kept and kept == fresh
+                    continue
+                for got in (kept, fresh):
+                    assert not isinstance(got, str) and got[2] == want[2]
+                    for a, b in zip(got[:2], want[:2]):
+                        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+                        assert np.array_equal(a.power_w, b.power_w)
+
 
 class TestSweepEngine:
     def make_config(self, **kw):
@@ -205,6 +267,16 @@ class TestSweepEngine:
                 slack = 2 * earlier.std_rate / np.sqrt(earlier.n_real)
                 assert later.mean_rate >= earlier.mean_rate - slack
 
+    def test_user_sweep_points_match_their_own_sweeps(self):
+        # Kept draws belong to one user count; a new count starts new streams.
+        cfg = self.make_config(segment_sweep=None, num_segments=6, num_users=None, user_sweep=(2, 1, 3),
+                               realizations=8, schemes=("bound-exact", "hssa-1"))
+        res = run_user_sweep(cfg)
+        for k in cfg.user_sweep:
+            alone = run_user_sweep(replace(cfg, user_sweep=(k,)))
+            assert [res.row(k, s) for s in cfg.schemes] == [alone.row(k, s) for s in cfg.schemes]
+            assert res.resample_counts[k] == alone.resample_counts[k]
+
     def test_user_sweep_single_user_point_matches_segment_sweep(self):
         ucfg = self.make_config(segment_sweep=None, num_segments=4, num_users=None,
                                 user_sweep=(1,), schemes=("hssa-1",))
@@ -286,15 +358,20 @@ class TestReferenceTrace:
 
 class TestBenchmarkReferences:
     # The benchmark's recorded sweep CSVs at their configs' own seeds; the
-    # optimizers must keep reproducing them byte for byte.
+    # optimizers and the bound sweep must keep reproducing them byte for
+    # byte. The sidecars' redraw counts were recorded alongside them.
     BENCH = Path(__file__).parents[1] / "perfbench"
+    COMMANDS = {"desk-sweep": "segment-sweep", "switch-only": "segment-sweep", "bound-sweep": "bound-sweep"}
+    RESAMPLE_COUNTS = Path(__file__).parent / "data" / "reference_resample_counts.json"
 
-    @pytest.mark.parametrize("workload", ["desk-sweep", "switch-only"])
+    @pytest.mark.parametrize("workload", ["desk-sweep", "switch-only", "bound-sweep"])
     def test_cli_reproduces_reference_bytes(self, tmp_path, workload):
         out = tmp_path / f"{workload}.csv"
         config = self.BENCH / "configs" / f"{workload}.cfg"
-        assert cli_main(["segment-sweep", "--config", str(config), "--output", str(out), "--quiet"]) == 0
+        assert cli_main([self.COMMANDS[workload], "--config", str(config), "--output", str(out), "--quiet"]) == 0
         assert out.read_bytes() == (self.BENCH / "reference" / f"{workload}.csv").read_bytes()
+        meta = json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))
+        assert meta["resample_counts"] == json.loads(self.RESAMPLE_COUNTS.read_text(encoding="utf-8"))[workload]
 
 
 class TestPersistence:
