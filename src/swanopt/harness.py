@@ -41,7 +41,7 @@ from .geometry import (
     dbm_to_watts,
     sample_users,
 )
-from .optimize import GreedyTrace, full_sa_baseline, greedy_hssa_type1, greedy_hssa_type2
+from .optimize import GreedyTrace, full_sa_baseline, greedy_hssa_type1, greedy_hssa_type2, grid_gain_table
 
 TOOL_VERSION = "0.1.0"
 
@@ -328,25 +328,27 @@ def _draw_realization(config: ExperimentConfig, num_users: int, realization: int
     return stream.users, bound_users, redraws
 
 
-def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig):
+def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, table=None):
     """Call one scheme with the config's settings and return its own result.
 
     Bounds return a rate, the greedy searches a GreedyTrace and the
-    full-activation baselines a (placement, rate) pair.
+    full-activation baselines a (placement, rate) pair. The optimizers take
+    `table`, the grid-gain table of `users` on `layout`, or build their own
+    when it is None.
     """
     if scheme == "bound-exact":
         return exact_amplitude_bound(users, layout, params)
     if scheme == "bound-integral":
         return sum_rate_bound(users, layout, params)
     if scheme == "hssa-1":
-        return greedy_hssa_type1(users, layout, params, config.grid_points)
+        return greedy_hssa_type1(users, layout, params, config.grid_points, table=table)
     if scheme == "hssa-2":
         return greedy_hssa_type2(users, layout, params, config.grid_points,
-                                 tol=config.ao_tol, max_iter=config.ao_max_iter)
+                                 tol=config.ao_tol, max_iter=config.ao_max_iter, table=table)
     if scheme in ("full-sa-1", "full-sa-2"):
         variant = "type1" if scheme == "full-sa-1" else "type2"
         return full_sa_baseline(users, layout, params, config.grid_points, variant,
-                                tol=config.ao_tol, max_sweeps=config.ao_max_iter)
+                                tol=config.ao_tol, max_sweeps=config.ao_max_iter, table=table)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -361,6 +363,7 @@ def _result_rate(result) -> float:
 def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     params = config.system_params()
     needs_bound_users = any(s in _BOUND_SCHEMES for s in config.schemes)
+    needs_table = any(s not in _BOUND_SCHEMES for s in config.schemes)
     rows = []
     resample_counts = {}
     streams, streams_num_users = {}, None
@@ -383,9 +386,12 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
             extent = layout.extent if needs_bound_users else None
             users, bound_users, redraws = _draw_realization(config, num_users, r, extent, streams)
             redrawn += redraws
+            # Every optimizer scheme searches the same grid gains of these users.
+            table = grid_gain_table(users, layout, params, config.grid_points) if needs_table else None
             for scheme in config.schemes:
                 chosen = bound_users if scheme in _BOUND_SCHEMES else users
-                rates[scheme][r] = _result_rate(_run_scheme(scheme, chosen, layout, params, config))
+                rates[scheme][r] = _result_rate(_run_scheme(scheme, chosen, layout, params, config, table))
+            del table  # so that two realizations' tables never coexist (peak memory)
         resample_counts[value] = redrawn
         for scheme in config.schemes:
             vals = rates[scheme]

@@ -16,7 +16,7 @@ The phase-shifter search grid-searches every candidate first and then runs
 AO in descending order of a coherent upper bound on the phase objective,
 skipping the candidates whose bound cannot beat the incumbent; the result is
 the same as running AO on all of them. Grid gains are computed once per
-scheme call.
+scheme call, or once for all schemes when the caller passes the table.
 
 Determinism: ties between candidate segments resolve to the smallest segment
 index, ties between grid points to the smallest coordinate, and phase updates
@@ -93,16 +93,27 @@ def candidate_grid(segment: int, layout: WaveguideLayout, grid_points: int) -> n
 
 
 def _infeasible_mask(grid: np.ndarray, positions: np.ndarray, min_spacing_m: float) -> np.ndarray:
-    return (np.abs(grid[:, None] - positions[None, :]) < min_spacing_m).any(axis=1)
+    """Grid points closer than `min_spacing_m` to some position; `grid` is ascending.
+
+    Only positions less than twice the spacing outside the grid's span are
+    compared. A dropped position p has grid[0] - p (or p - grid[-1]) of at
+    least twice the spacing after rounding, and rounding is monotone, so
+    every grid point's rounded distance to p is at least that: the mask is
+    the all-pairs comparison's, bit for bit.
+    """
+    reach = 2.0 * min_spacing_m
+    near = positions[(grid[0] - positions < reach) & (positions - grid[-1] < reach)]
+    return (np.abs(grid[:, None] - near[None, :]) < min_spacing_m).any(axis=1)
 
 
-def _grid_gain_table(users, layout, params, grid_points) -> list[tuple[np.ndarray, np.ndarray]]:
+def grid_gain_table(users, layout, params, grid_points) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per segment, its candidate grid and the (K, Q) gains at every grid point.
 
     The gains do not depend on the other antennas, so one table serves every
-    level of a greedy run and every sweep of the baseline; it costs
-    M * K * Q * 16 bytes. Slicing a block gives the bits `segment_gains`
-    returns on the same subset, because the kernel is elementwise.
+    level of a greedy run, every sweep of the baseline and every scheme run
+    on the same users and layout; it costs M * K * Q * 16 bytes. Slicing a
+    block gives the bits `segment_gains` returns on the same subset, because
+    the kernel is elementwise.
     """
     table = []
     for m in range(layout.num_segments):
@@ -176,6 +187,7 @@ def _element_update(a: np.ndarray, v: np.ndarray, m: int):
 
     Maximizes the quadratic form's terms linear in v[m], whose coefficient is
     sum_{n != m} A[m, n] conj(v[n]); a zero coefficient leaves v[m] unchanged.
+    `phase_alternating_opt` makes this update inline, with the same bits.
     """
     s = np.dot(a[m], np.conj(v)) - a[m, m] * np.conj(v[m])
     if s == 0:
@@ -205,9 +217,18 @@ def phase_alternating_opt(a: np.ndarray, init=None, tol: float = 1e-8, max_iter:
         return PhaseOptResult(_wrap_phases(v), float(np.real(a[0, 0])), 0)
     obj = quadratic_objective(a, v)
     iterations = 0
+    # _element_update's arithmetic without its per-element temporaries:
+    # conj(v) is kept in step with v, and np.angle is arctan2 on the parts.
+    rows = list(a)
+    diag = list(a.diagonal())
+    conj_v = np.conj(v)
     for sweep in range(1, max_iter + 1):
         for m in range(s):
-            v[m] = _element_update(a, v, m)
+            c = np.dot(rows[m], conj_v) - diag[m] * conj_v[m]
+            if c != 0:
+                u = np.exp(-1j * np.arctan2(c.imag, c.real))
+                v[m] = u
+                conj_v[m] = u.conjugate()
         new_obj = quadratic_objective(a, v)
         iterations = sweep
         if new_obj - obj <= tol * max(abs(obj), 1e-300):
@@ -254,10 +275,11 @@ def _best_phase_candidate(candidates, gains, users, noise_scale, tol, max_iter):
     return best
 
 
-def _greedy(users, layout, params, grid_points, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
+def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
     # Committed state in activation order: segments, positions, phases and
     # the (K, S) gain matrix whose columns are reused by every later level.
-    table = _grid_gain_table(users, layout, params, grid_points)
+    if table is None:
+        table = grid_gain_table(users, layout, params, grid_points)
     active: list[int] = []
     positions: list[float] = []
     gains = np.zeros((users.num_users, 0), dtype=complex)
@@ -297,47 +319,79 @@ def _greedy(users, layout, params, grid_points, *, type2: bool, tol: float, max_
     return GreedyTrace(levels=tuple(levels))
 
 
-def greedy_hssa_type1(users, layout, params, grid_points) -> GreedyTrace:
+def greedy_hssa_type1(users, layout, params, grid_points, table=None) -> GreedyTrace:
     """Greedy segment activation and placement for the switch-only architecture.
 
     At every level each inactive segment is trial-placed with a 1-d grid
     search, the best segment is committed, and the level is stored; the best
-    stored level dominates full activation by construction.
+    stored level dominates full activation by construction. `table` is
+    `grid_gain_table(users, layout, params, grid_points)`, built here when
+    omitted.
     """
-    return _greedy(users, layout, params, grid_points, type2=False, tol=0.0, max_iter=0)
+    return _greedy(users, layout, params, grid_points, table, type2=False, tol=0.0, max_iter=0)
 
 
-def greedy_hssa_type2(users, layout, params, grid_points, tol: float = 1e-8, max_iter: int = 100) -> GreedyTrace:
+def greedy_hssa_type2(users, layout, params, grid_points, tol: float = 1e-8, max_iter: int = 100,
+                      table=None) -> GreedyTrace:
     """Greedy activation and placement with per-segment phase shifters.
 
     Like the switch-only search, but every candidate is re-scored after a
     full phase alternating optimization (all-zero initialization), and the
-    committed snapshot carries the converged phases.
+    committed snapshot carries the converged phases. `table` is as for
+    `greedy_hssa_type1`.
     """
-    return _greedy(users, layout, params, grid_points, type2=True, tol=tol, max_iter=max_iter)
+    return _greedy(users, layout, params, grid_points, table, type2=True, tol=tol, max_iter=max_iter)
+
+
+def _leftmost_start(table, min_spacing_m):
+    """Positions and (K, M) gains of each segment's leftmost grid point clear of the antennas left of it.
+
+    Segments are ordered along x, so this places all of them whenever any
+    spacing-feasible grid placement exists. Raises ValueError otherwise.
+    """
+    positions, columns = [], []
+    for grid, block in table:
+        free = np.flatnonzero(~_infeasible_mask(grid, np.array(positions), min_spacing_m))
+        if free.size == 0:
+            raise ValueError(
+                f"no grid placement of all {len(table)} segments keeps antennas {min_spacing_m:.6g} m "
+                "apart; lower the minimum spacing or leave out the full-sa schemes"
+            )
+        positions.append(grid[free[0]])
+        columns.append(block[:, free[0]])
+    return np.array(positions), np.stack(columns, axis=1)
 
 
 def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
-                     tol: float = 1e-8, max_sweeps: int = 50):
+                     tol: float = 1e-8, max_sweeps: int = 50, table=None):
     """Coordinate-descent baseline with all segments activated.
 
-    Antennas start at their segment midpoints. Each sweep re-optimizes every
-    antenna position in index order over its currently feasible grid points
-    (a move is accepted only when it does not lower the rate); for "type2"
+    Antennas start at their segment midpoints, or, when the spacing is
+    larger than the segment length so that midpoints are too close, at the
+    leftmost spacing-feasible grid placement (ValueError when there is
+    none). Each sweep re-optimizes every antenna position in index order
+    over its currently feasible grid points (a move is accepted only when it
+    does not lower the rate), so the placement stays feasible; for "type2"
     the phase vector is re-optimized after each sweep, warm-started from the
     current phases so the rate stays nondecreasing. Stops when the relative
     rate improvement of a sweep falls below `tol` or after `max_sweeps`.
+    `table` is as for `greedy_hssa_type1`.
 
     Returns (placement, rate).
     """
     if variant not in ("type1", "type2"):
         raise ValueError(f"unknown variant {variant!r}")
     num_segments = layout.num_segments
+    if table is None:
+        table = grid_gain_table(users, layout, params, grid_points)
     pos = np.array([layout.feed_x[m] + layout.segment_length_m / 2.0 for m in range(num_segments)])
+    if num_segments == 1 or np.diff(pos).min() >= params.min_spacing_m:
+        gains = np.stack([segment_gains(users, m, float(pos[m]), layout, params) for m in range(num_segments)],
+                         axis=1)
+    else:
+        pos, gains = _leftmost_start(table, params.min_spacing_m)
     phase = np.zeros(num_segments)
     w = np.exp(1j * phase)
-    gains = np.stack([segment_gains(users, m, float(pos[m]), layout, params) for m in range(num_segments)], axis=1)
-    table = _grid_gain_table(users, layout, params, grid_points)
     scale = num_segments * params.noise_power_w
 
     def snr_of(gmat, vvec):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swanopt.harness as harness
+import swanopt.optimize as optimize
 from swanopt.cli import main as cli_main
 from swanopt.geometry import sample_users
 from swanopt.harness import (
@@ -234,6 +235,26 @@ class TestSweepEngine:
             run_user_sweep(self.make_config())
         with pytest.raises(ValueError, match="num_segments"):
             run_user_sweep(self.make_config(segment_sweep=None, user_sweep=(1, 2)))
+
+    @pytest.mark.parametrize("schemes, per_segment", [
+        (("hssa-1", "hssa-2", "full-sa-1", "full-sa-2"), 3),  # one table, plus midpoints per full-SA scheme
+        (("full-sa-1",), 2),
+        (("bound-exact", "bound-integral"), 0),
+    ])
+    def test_gain_kernel_calls_per_realization(self, monkeypatch, schemes, per_segment):
+        calls = []
+        kernel = optimize.segment_gains
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "segment_gains", counting)
+        cfg = self.make_config(schemes=schemes, realizations=3, segment_sweep=(2, 5))
+        shared = run_segment_sweep(cfg)
+        assert len(calls) == 3 * per_segment * (2 + 5)
+        monkeypatch.setattr(harness, "grid_gain_table", lambda *args: None)
+        assert run_segment_sweep(cfg) == shared  # each scheme building its own table
 
     def test_warns_when_coverage_below_region(self):
         with pytest.warns(RuntimeWarning, match="narrower"):
@@ -457,6 +478,15 @@ class TestCli:
         out = tmp_path / "trace.csv"
         assert cli_main(["single-run", "--config", cfg, "--output", str(out), "--quiet"]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infeasible_full_activation_reports_error(self, tmp_path, capsys):
+        # Adjacent 1 m segments cannot hold antennas 2.5 m apart.
+        text = "num_users = 1\nsegment_sweep = 1, 2\ngrid_points = 20\nmin_spacing_m = 2.5\nschemes = full-sa-1\n"
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "x.csv"
+        assert cli_main(["segment-sweep", "--config", cfg, "--output", str(out), "--quiet"]) == 2
+        assert "no grid placement of all 2 segments" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unsatisfiable_bound_redraws_report_error(self, tmp_path):

@@ -16,13 +16,13 @@ from swanopt.optimize import (
     _best_grid_point,
     _coherent_bound,
     _element_update,
-    _grid_gain_table,
     _infeasible_mask,
     build_phase_matrix,
     candidate_grid,
     full_sa_baseline,
     greedy_hssa_type1,
     greedy_hssa_type2,
+    grid_gain_table,
     phase_alternating_opt,
     quadratic_objective,
 )
@@ -75,6 +75,43 @@ class TestCandidateGrid:
             candidate_grid(0, self.layout, 1)
 
 
+@st.composite
+def spacing_scenarios(draw):
+    """(ascending grid, occupied positions, spacing) with positions where the prefilter could go wrong.
+
+    Positions fall in the grid's segment, in segments up to three lengths
+    away, far away, within a few ulps of one spacing or two spacings from a
+    grid point, and repeat each other.
+    """
+    seg_len = draw(st.floats(1e-3, 10.0))
+    lo = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats(-100.0, 100.0)))
+    grid = np.linspace(lo, lo + seg_len, draw(st.integers(2, 1000)))
+    spacing = draw(st.one_of(st.floats(1e-6, 3.0 * seg_len),
+                             st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]).map(lambda f: f * seg_len)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = []
+    kinds = rng.choice(["same", "near", "far", "edge", "twice", "repeat"], size=draw(st.integers(0, 60)))
+    for kind in kinds:
+        if kind == "same":
+            positions.append(rng.uniform(grid[0], grid[-1]))
+        elif kind == "near":
+            k = int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1)
+            positions.append(rng.uniform(grid[0], grid[-1]) + k * seg_len)
+        elif kind == "far":
+            positions.append(rng.choice([-1.0, 1.0]) * rng.uniform(1e3, 1e6))
+        elif kind in ("edge", "twice"):
+            reach = spacing if kind == "edge" else 2.0 * spacing
+            g = grid[rng.choice([0, len(grid) - 1, int(rng.integers(len(grid)))])]
+            p = g + rng.choice([-1.0, 1.0]) * reach
+            ulps = int(rng.integers(-2, 3))
+            for _ in range(abs(ulps)):
+                p = np.nextafter(p, math.copysign(math.inf, ulps))
+            positions.append(p)
+        elif positions:
+            positions.append(positions[int(rng.integers(len(positions)))])
+    return grid, np.array(positions, dtype=float), spacing
+
+
 class TestInfeasiblePoints:
     def test_empty_placement_excludes_nothing(self):
         grid = np.array([0.0, 0.5, 0.9, 1.1])
@@ -98,6 +135,13 @@ class TestInfeasiblePoints:
             cap = math.ceil(params.min_spacing_m * (q - 1) / 1.0) + 1
             assert 1 <= excluded.sum() <= cap
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(spacing_scenarios())
+    def test_equals_all_pairs_comparison(self, scenario):
+        grid, positions, spacing = scenario
+        oracle = (np.abs(grid[:, None] - positions[None, :]) < spacing).any(axis=1)
+        assert np.array_equal(_infeasible_mask(grid, positions, spacing), oracle)
+
 
 class TestGridGainTable:
     @pytest.mark.parametrize("kappa", [0.0, 0.08])
@@ -109,7 +153,7 @@ class TestGridGainTable:
         lay = build_centered_layout(5, 1.0, 3.0)
         users = sample_users(4, 10.0, 10.0, 0.01, 211)
         rng = np.random.default_rng(q)
-        table = _grid_gain_table(users, lay, params, q)
+        table = grid_gain_table(users, lay, params, q)
         assert len(table) == 5
         for m, (grid, block) in enumerate(table):
             assert np.array_equal(grid, candidate_grid(m, lay, q))
@@ -279,6 +323,25 @@ class TestPhaseMatrix:
             assert quadratic_objective(pm, v) == pytest.approx(direct, rel=1e-10)
 
 
+def element_update_loop(a, init, tol, max_iter):
+    """phase_alternating_opt as one `_element_update` call per element: the reference bits."""
+    v = np.ones(a.shape[0], dtype=complex) if init is None else np.array(init, dtype=complex)
+    obj = quadratic_objective(a, v)
+    iterations = 0
+    for sweep in range(1, max_iter + 1):
+        for m in range(a.shape[0]):
+            v[m] = _element_update(a, v, m)
+        new_obj = quadratic_objective(a, v)
+        iterations = sweep
+        if new_obj - obj <= tol * max(abs(obj), 1e-300):
+            obj = new_obj
+            break
+        obj = new_obj
+    phases = np.mod(np.angle(v), TWO_PI)
+    phases[phases >= TWO_PI] = 0.0
+    return phases, float(obj), iterations
+
+
 class TestPhaseAlternatingOpt:
     def test_single_segment_returns_init(self):
         pm = np.array([[2.5 + 0j]])
@@ -346,6 +409,20 @@ class TestPhaseAlternatingOpt:
         with pytest.raises(ValueError):
             phase_alternating_opt(pm, init=np.array([1.0, 0.5]))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(2, 40), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([1e-8, 0.0, 1e-3]), st.sampled_from([1, 3, 100]))
+    def test_matches_element_update_loop_bit_for_bit(self, s, k, seed, warm, tol, max_iter):
+        rng = np.random.default_rng(seed)
+        gains = 10.0 ** rng.uniform(-6.0, 0.0, (k, s)) * (rng.normal(size=(k, s)) + 1j * rng.normal(size=(k, s)))
+        gains[:, rng.random(s) < 0.2] = 0.0  # zero rows and columns of A: zero coefficients
+        a = build_phase_matrix(gains, 10.0 ** rng.uniform(-4.0, 0.0, k))
+        init = np.exp(1j * rng.uniform(0, TWO_PI, s)) if warm else None
+        phases, objective, iterations = phase_alternating_opt(a, init=init, tol=tol, max_iter=max_iter)
+        ref_phases, ref_objective, ref_iterations = element_update_loop(a, init, tol, max_iter)
+        assert np.array_equal(phases, ref_phases)
+        assert objective == ref_objective and iterations == ref_iterations
+
 
 class TestGreedyTypeTwo:
     def setup_method(self):
@@ -390,15 +467,18 @@ class TestGreedyTypeTwo:
 
 
 @st.composite
-def greedy_scenarios(draw):
-    """Small hssa-2 instances: uneven powers, attenuation, and spacings up to 1.5 segment lengths."""
+def greedy_scenarios(draw, min_segments=2, max_grid=9,
+                     spacing=st.sampled_from([0.005, 0.3, 0.7, 1.0, 1.5]),
+                     kappa=st.sampled_from([0.0, 0.0, 0.05, 1.0]),
+                     noise_exponent=st.floats(-15.0, 4.0)):
+    """Small instances: uneven powers, attenuation, and spacings (in segment lengths) up to 1.5 by default."""
     num_users = draw(st.integers(1, 4))
-    num_segments = draw(st.integers(2, 8))
+    num_segments = draw(st.integers(min_segments, 8))
     seg_len = draw(st.floats(0.2, 2.0))
     params = params_28ghz(
-        kappa_db_per_m=draw(st.sampled_from([0.0, 0.0, 0.05, 1.0])),
-        min_spacing_m=seg_len * draw(st.sampled_from([0.005, 0.3, 0.7, 1.0, 1.5])),
-        noise_power_w=10.0 ** draw(st.floats(-15.0, 4.0)),
+        kappa_db_per_m=draw(kappa),
+        min_spacing_m=seg_len * draw(spacing),
+        noise_power_w=10.0 ** draw(noise_exponent),
     )
     layout = build_centered_layout(num_segments, seg_len, draw(st.floats(0.5, 6.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -406,7 +486,7 @@ def greedy_scenarios(draw):
     users = UserSet(x=rng.uniform(-region / 2, region / 2, num_users),
                     y=rng.uniform(-5.0, 5.0, num_users),
                     power_w=10.0 ** rng.uniform(-4.0, 0.0, num_users))
-    return users, layout, params, draw(st.integers(2, 9))
+    return users, layout, params, draw(st.integers(2, max_grid))
 
 
 def exhaustive_phase_level(users, layout, params, grid_points, prefix):
@@ -460,6 +540,71 @@ class TestBoundPruning:
         powers = 10.0 ** rng.uniform(-4.0, 0.0, num_users)
         _, objective, _ = phase_alternating_opt(build_phase_matrix(gains, powers))
         assert objective <= _coherent_bound(gains, powers) * (1.0 + BOUND_MARGIN)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def full_activation_exists(layout, params, grid_points):
+    """Whether every segment can hold an antenna on its grid, spacing kept.
+
+    Placing the segments left to right, each at its leftmost grid point clear
+    of the ones before, succeeds whenever any feasible placement does.
+    """
+    placed = []
+    for m in range(layout.num_segments):
+        free = [x for x in candidate_grid(m, layout, grid_points)
+                if all(abs(x - p) >= params.min_spacing_m for p in placed)]
+        if not free:
+            return False
+        placed.append(free[0])
+    return True
+
+
+class TestSharedTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(greedy_scenarios(min_segments=1, max_grid=30))
+    def test_results_do_not_depend_on_who_builds_the_table(self, scenario):
+        users, layout, params, q = scenario
+        table = grid_gain_table(users, layout, params, q)
+        assert greedy_hssa_type1(users, layout, params, q, table=table) == greedy_hssa_type1(users, layout, params, q)
+        assert (greedy_hssa_type2(users, layout, params, q, table=table)
+                == greedy_hssa_type2(users, layout, params, q))
+        for variant in ("type1", "type2"):
+            shared = outcome(full_sa_baseline, users, layout, params, q, variant, table=table)
+            assert shared == outcome(full_sa_baseline, users, layout, params, q, variant)
+
+
+class TestPlacementValidity:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(greedy_scenarios(
+        min_segments=1, max_grid=50,
+        spacing=st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]), st.floats(1e-6, 2.5)),
+        kappa=st.floats(0.0, 20.0), noise_exponent=st.floats(-20.0, 6.0)))
+    def test_every_placement_is_valid_and_every_rate_finite(self, scenario):
+        users, layout, params, q = scenario
+        for search in (greedy_hssa_type1, greedy_hssa_type2):
+            trace = search(users, layout, params, q)
+            for lvl in trace.levels:
+                lvl.placement.validate(layout, params)
+                assert math.isfinite(lvl.rate)
+            assert trace.best_rate >= trace.levels[-1].rate
+        feasible = full_activation_exists(layout, params, q)
+        for variant in ("type1", "type2"):
+            if not feasible:
+                with pytest.raises(ValueError, match="no grid placement"):
+                    full_sa_baseline(users, layout, params, q, variant)
+                continue
+            placement, rate = full_sa_baseline(users, layout, params, q, variant)
+            placement.validate(layout, params)
+            assert placement.active == tuple(range(layout.num_segments))
+            assert math.isfinite(rate)
+            assert rate == pytest.approx(placement_sum_rate(users, placement, layout, params), rel=1e-9)
 
 
 class TestFullSegmentAggregationBaseline:
