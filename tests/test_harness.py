@@ -489,6 +489,36 @@ class TestCli:
         assert "no grid placement of all 2 segments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise_dbm", [150, 400])
+    def test_zero_rate_sweep_reports_error(self, tmp_path, capsys, noise_dbm):
+        # log2(1 + snr) rounds to 0 at these noise floors.
+        text = (f"num_users = 2\nsegment_sweep = 20\ngrid_points = 20\nrealizations = 2\nnoise_dbm = {noise_dbm}\n"
+                "schemes = hssa-1, hssa-2, full-sa-2, bound-exact\n")
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "x.csv"
+        assert cli_main(["segment-sweep", "--config", cfg, "--output", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "hssa-1 rate at M = 20 is not positive" in err and "noise_dbm" in err and "tx_power_dbm" in err
+        assert not out.exists()
+
+    def test_zero_rate_single_run_reports_error(self, tmp_path, capsys):
+        text = "num_users = 2\nnum_segments = 3\ngrid_points = 20\nnoise_dbm = 150\nschemes = hssa-2\n"
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "trace.csv"
+        assert cli_main(["single-run", "--config", cfg, "--output", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "hssa-2 rate at the single run is not positive" in err and "noise_dbm" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("ao_tol", "-1e-8"), ("ao_max_iter", "-1")])
+    def test_negative_ao_setting_reports_error(self, tmp_path, capsys, key, value):
+        text = f"num_users = 1\nnum_segments = 2\ngrid_points = 20\nschemes = hssa-2\n{key} = {value}\n"
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "trace.csv"
+        assert cli_main(["single-run", "--config", cfg, "--output", str(out), "--quiet"]) == 2
+        assert f"{key} must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unsatisfiable_bound_redraws_report_error(self, tmp_path):
         # Six users all inside a 1 m waveguide over a 20 m region takes ~6e7
         # redraws on average; the cap turns that into an error. A subprocess

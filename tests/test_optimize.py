@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import element_update
 
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains
 from swanopt.geometry import Placement, SystemParams, UserSet, build_centered_layout, sample_users
 from swanopt.optimize import (
-    BOUND_MARGIN,
     GreedyTrace,
     SegmentInfeasibleError,
     _best_grid_point,
-    _coherent_bound,
-    _element_update,
     _infeasible_mask,
+    _stacked_ao,
     build_phase_matrix,
     candidate_grid,
     full_sa_baseline,
@@ -324,13 +323,13 @@ class TestPhaseMatrix:
 
 
 def element_update_loop(a, init, tol, max_iter):
-    """phase_alternating_opt as one `_element_update` call per element: the reference bits."""
+    """phase_alternating_opt as one `element_update` call per element: the reference bits."""
     v = np.ones(a.shape[0], dtype=complex) if init is None else np.array(init, dtype=complex)
     obj = quadratic_objective(a, v)
     iterations = 0
     for sweep in range(1, max_iter + 1):
         for m in range(a.shape[0]):
-            v[m] = _element_update(a, v, m)
+            v[m] = element_update(a, v, m)
         new_obj = quadratic_objective(a, v)
         iterations = sweep
         if new_obj - obj <= tol * max(abs(obj), 1e-300):
@@ -358,7 +357,7 @@ class TestPhaseAlternatingOpt:
             obj = quadratic_objective(pm, v)
             for _sweep in range(10):
                 for m in range(s):
-                    v[m] = _element_update(pm, v, m)
+                    v[m] = element_update(pm, v, m)
                     new = quadratic_objective(pm, v)
                     assert new >= obj - 1e-13 * max(abs(obj), 1.0)
                     obj = new
@@ -422,6 +421,23 @@ class TestPhaseAlternatingOpt:
         ref_phases, ref_objective, ref_iterations = element_update_loop(a, init, tol, max_iter)
         assert np.array_equal(phases, ref_phases)
         assert objective == ref_objective and iterations == ref_iterations
+
+
+class TestStackedAO:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 39), st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-8, 0.0, 1e-3]), st.sampled_from([0, 1, 3, 100]))
+    def test_equals_lone_calls_bit_for_bit(self, c, s, k, seed, tol, max_iter):
+        rng = np.random.default_rng(seed)
+        gains = 10.0 ** rng.uniform(-6.0, 0.0, (c, k, s)) * (rng.normal(size=(c, k, s)) + 1j * rng.normal(size=(c, k, s)))
+        gains *= rng.random((c, 1, s)) >= 0.2  # zero rows and columns of A: zero coefficients
+        powers = 10.0 ** rng.uniform(-4.0, 0.0, k)
+        a = np.stack([build_phase_matrix(g, powers) for g in gains])
+        phases, objectives, iterations = _stacked_ao(a, tol, max_iter)
+        for i in range(c):
+            lone = phase_alternating_opt(a[i], tol=tol, max_iter=max_iter)
+            assert phases[i].tobytes() == lone.phases.tobytes()
+            assert objectives[i] == lone.objective and iterations[i] == lone.iterations
 
 
 class TestGreedyTypeTwo:
@@ -489,15 +505,14 @@ def greedy_scenarios(draw, min_segments=2, max_grid=9,
     return users, layout, params, draw(st.integers(2, max_grid))
 
 
-def exhaustive_phase_level(users, layout, params, grid_points, prefix):
-    """(rate, segment, position) of the best AO candidate after `prefix`, ties to the smallest segment."""
+def phase_level_candidates(users, layout, params, grid_points, prefix, tol=1e-8, max_iter=100):
+    """(segment, position, AO result) of every candidate after `prefix`, each AO run on its own."""
     n = prefix.num_active
     gains = np.zeros((users.num_users, 0), dtype=complex)
     aggregate = np.zeros(users.num_users, dtype=complex)
     if n:
         gains = cascaded_gain_matrix(users, prefix, layout, params)
         aggregate = gains @ np.exp(1j * prefix.phase_array())
-    best = None
     for m in range(layout.num_segments):
         if m in prefix.active:
             continue
@@ -509,8 +524,14 @@ def exhaustive_phase_level(users, layout, params, grid_points, prefix):
         except SegmentInfeasibleError:
             continue
         trial = np.concatenate([gains, column[:, None]], axis=1)
-        res = phase_alternating_opt(build_phase_matrix(trial, users.power_w))
-        rate = float(np.log2(1.0 + res.objective / ((n + 1) * params.noise_power_w)))
+        yield m, pos, phase_alternating_opt(build_phase_matrix(trial, users.power_w), tol=tol, max_iter=max_iter)
+
+
+def exhaustive_phase_level(users, layout, params, grid_points, prefix):
+    """(rate, segment, position) of the best AO candidate after `prefix`, ties to the smallest segment."""
+    best = None
+    for m, pos, res in phase_level_candidates(users, layout, params, grid_points, prefix):
+        rate = float(np.log2(1.0 + res.objective / ((prefix.num_active + 1) * params.noise_power_w)))
         if best is None or rate > best[0]:
             best = (rate, m, pos)
     return best
@@ -531,15 +552,26 @@ class TestBoundPruning:
             assert (lvl.rate, lvl.segment, lvl.position) == oracle
             prefix = lvl.placement
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2**32 - 1))
-    def test_coherent_bound_caps_the_converged_objective(self, num_users, num_segments, seed):
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** rng.uniform(-6.0, 0.0, (num_users, num_segments))
-        gains = scale * (rng.normal(size=scale.shape) + 1j * rng.normal(size=scale.shape))
-        powers = 10.0 ** rng.uniform(-4.0, 0.0, num_users)
-        _, objective, _ = phase_alternating_opt(build_phase_matrix(gains, powers))
-        assert objective <= _coherent_bound(gains, powers) * (1.0 + BOUND_MARGIN)
+
+class TestAoCounters:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(greedy_scenarios(), st.sampled_from([0.0, 1e-8, 1e-3]), st.sampled_from([0, 1, 3, 100]))
+    def test_counts_equal_one_lone_call_per_candidate(self, scenario, tol, max_iter):
+        users, layout, params, grid_points = scenario
+        trace = greedy_hssa_type2(users, layout, params, grid_points, tol=tol, max_iter=max_iter)
+        runs = sweeps = cap_hits = 0
+        prefix = Placement.empty()
+        for lvl in trace.levels:
+            if lvl.degenerate:
+                continue
+            for _, _, res in phase_level_candidates(users, layout, params, grid_points, prefix, tol, max_iter):
+                runs += 1
+                sweeps += res.iterations
+                cap_hits += prefix.num_active > 0 and res.iterations >= max_iter
+            prefix = lvl.placement
+        assert (trace.ao_runs, trace.ao_sweeps, trace.ao_cap_hits) == (runs, sweeps, cap_hits)
+        switch_only = greedy_hssa_type1(users, layout, params, grid_points)
+        assert (switch_only.ao_runs, switch_only.ao_sweeps, switch_only.ao_cap_hits) == (0, 0, 0)
 
 
 def outcome(fn, *args, **kwargs):
