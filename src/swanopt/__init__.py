@@ -13,14 +13,10 @@ from .bound import (
     user_gain_bound,
 )
 from .channel import (
-    cascaded_gain,
     cascaded_gain_matrix,
-    effective_channel,
-    freespace_gain,
     placement_sum_rate,
     segment_gains,
     sum_rate,
-    waveguide_gain,
 )
 from .geometry import (
     SPEED_OF_LIGHT_M_S,
@@ -32,7 +28,6 @@ from .geometry import (
     build_centered_layout,
     dbm_to_watts,
     sample_users,
-    watts_to_dbm,
 )
 from .harness import (
     SCHEMES,
@@ -52,7 +47,6 @@ from .harness import TOOL_VERSION as __version__
 from .optimize import (
     GreedyTrace,
     PhaseOptResult,
-    SegmentInfeasibleError,
     TraceLevel,
     build_phase_matrix,
     candidate_grid,
@@ -61,58 +55,4 @@ from .optimize import (
     greedy_hssa_type2,
     grid_gain_table,
     phase_alternating_opt,
-    quadratic_objective,
 )
-
-__all__ = [
-    "ExperimentConfig",
-    "GreedyTrace",
-    "Placement",
-    "PhaseOptResult",
-    "ProjectionOutOfRangeError",
-    "SCHEMES",
-    "SPEED_OF_LIGHT_M_S",
-    "SegmentInfeasibleError",
-    "SegmentSplit",
-    "SweepResult",
-    "SweepRow",
-    "SystemParams",
-    "TraceLevel",
-    "User",
-    "UserSet",
-    "WaveguideLayout",
-    "build_centered_layout",
-    "build_phase_matrix",
-    "candidate_grid",
-    "cascaded_gain",
-    "cascaded_gain_matrix",
-    "dbm_to_watts",
-    "effective_channel",
-    "exact_amplitude_bound",
-    "f_exact",
-    "f_integral",
-    "freespace_gain",
-    "full_sa_baseline",
-    "greedy_hssa_type1",
-    "greedy_hssa_type2",
-    "grid_gain_table",
-    "phase_alternating_opt",
-    "placement_sum_rate",
-    "quadratic_objective",
-    "run_bound_sweep",
-    "run_segment_sweep",
-    "run_single",
-    "run_user_sweep",
-    "sample_users",
-    "segment_gains",
-    "split_for_user",
-    "sum_rate",
-    "sum_rate_bound",
-    "sweep_csv_text",
-    "trace_csv_text",
-    "user_gain_bound",
-    "waveguide_gain",
-    "watts_to_dbm",
-    "write_sweep_result",
-    "write_trace_result",
-]

@@ -21,13 +21,6 @@ def dbm_to_watts(dbm):
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts):
-    """Convert a power level from watts to dBm."""
-    if watts <= 0:
-        raise ValueError(f"power must be positive, got {watts}")
-    return 10.0 * np.log10(watts) + 30.0
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Carrier and receiver constants plus derived wave quantities.

@@ -28,6 +28,8 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, fields, replace
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -170,14 +172,21 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 
-_INT_KEYS = {"num_segments", "num_users", "grid_points", "ao_max_iter", "realizations", "master_seed"}
-_FLOAT_KEYS = {
-    "carrier_freq_hz", "n_eff", "kappa_db_per_m", "min_spacing_wavelengths", "min_spacing_m",
-    "height_m", "noise_dbm", "segment_length_m", "region_x_m", "region_y_m", "tx_power_dbm", "ao_tol",
-}
-_INT_LIST_KEYS = {"segment_sweep", "user_sweep"}
-_STR_LIST_KEYS = {"schemes"}
-_STR_KEYS = {"output"}
+def _field_parser(annotation):
+    """Parser of one config value from its field type.
+
+    `X | None` parses as X, and `tuple[T, ...]` as comma-separated Ts with
+    empty items skipped.
+    """
+    if get_origin(annotation) is UnionType:
+        annotation = next(t for t in get_args(annotation) if t is not type(None))
+    if get_origin(annotation) is tuple:
+        item = get_args(annotation)[0]
+        return lambda rendered: tuple(item(v.strip()) for v in rendered.split(",") if v.strip())
+    return annotation
+
+
+_PARSERS = {f.name: _field_parser(f.type) for f in fields(ExperimentConfig)}
 
 
 def _parse_config_text(text: str) -> dict:
@@ -193,18 +202,9 @@ def _parse_config_text(text: str) -> dict:
         rendered = rendered.strip()
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            values[key] = int(rendered)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(rendered)
-        elif key in _INT_LIST_KEYS:
-            values[key] = tuple(int(v.strip()) for v in rendered.split(",") if v.strip())
-        elif key in _STR_LIST_KEYS:
-            values[key] = tuple(v.strip() for v in rendered.split(",") if v.strip())
-        elif key in _STR_KEYS:
-            values[key] = rendered
-        else:
+        if key not in _PARSERS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        values[key] = _PARSERS[key](rendered)
     return values
 
 
@@ -352,7 +352,7 @@ def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, ta
     if scheme in ("full-sa-1", "full-sa-2"):
         variant = "type1" if scheme == "full-sa-1" else "type2"
         return full_sa_baseline(users, layout, params, config.grid_points, variant,
-                                tol=config.ao_tol, max_sweeps=config.ao_max_iter, table=table)
+                                tol=config.ao_tol, max_iter=config.ao_max_iter, table=table)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

@@ -12,12 +12,13 @@ for comparison: repeated index-order sweeps re-optimize one antenna position
 at a time over its feasible grid, with an optional phase re-optimization
 after each sweep.
 
-The phase-shifter search grid-searches every candidate first and then runs
-AO on all of a level's candidates at once, as one stack of phase matrices
-whose problems leave the stack as they converge; every problem gets the
-bits a lone `phase_alternating_opt` call gives it. Grid gains are computed
-once per scheme call, or once for all schemes when the caller passes the
-table.
+One AO kernel serves both phase-shifter schemes. It runs on a stack of
+phase matrices whose problems leave the stack as they converge, so every
+problem gets the bits it gets alone. The phase-shifter search grid-searches
+every candidate first and then runs AO on all of a level's candidates at
+once; the baseline runs it on a stack of one, warm-started, through
+`phase_alternating_opt`. Grid gains are computed once per scheme call, or
+once for all schemes when the caller passes the table.
 
 Determinism: ties between candidate segments resolve to the smallest segment
 index, ties between grid points to the smallest coordinate, and phase updates
@@ -34,10 +35,8 @@ from .channel import cascaded_gain_matrix, segment_gains  # noqa: F401
 from .geometry import Placement, WaveguideLayout
 
 TWO_PI = 2.0 * np.pi
-
-
-class SegmentInfeasibleError(RuntimeError):
-    """Every grid point of a candidate segment violates the spacing constraint."""
+# Sweep cap of the full-activation baseline's coordinate descent.
+FULL_SA_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -147,12 +146,12 @@ def _best_grid_point(grid, block, occupied, aggregate, n_active, users, params, 
     `aggregate` holds the per-user unnormalized channel sums of the committed
     antennas. With `align` the trial antenna's phase shifter is set to the
     single-element optimum against that aggregate; otherwise it stays at zero.
-    Returns (position, sum_rate, gain column at that position). Raises
-    SegmentInfeasibleError when the whole grid violates the spacing constraint.
+    Returns (position, sum_rate, gain column at that position), or None when
+    the whole grid violates the spacing constraint.
     """
     feasible = _feasible(grid, block, occupied, params.min_spacing_m)
     if feasible is None:
-        raise SegmentInfeasibleError("no feasible grid point left in the segment")
+        return None
     pts, gains = feasible
     if align and n_active:
         # Best phase for the new antenna with all committed phases held fixed.
@@ -167,17 +166,12 @@ def _best_grid_point(grid, block, occupied, aggregate, n_active, users, params, 
 
 
 def build_phase_matrix(gains: np.ndarray, power_w: np.ndarray) -> np.ndarray:
-    """Hermitian matrix A of the phase problem from a (K, S) gain matrix.
+    """Hermitian matrix A of the phase problem from a (K, S) gain matrix, or a (..., K, S) stack.
 
     A[m, n] = sum_k P_k g_{k,m} conj(g_{k,n}); the sum-rate objective of a
     unit-modulus phase vector v is the quadratic form v^T A v*.
     """
-    return (gains * power_w[:, None]).T @ np.conj(gains)
-
-
-def quadratic_objective(a: np.ndarray, v: np.ndarray) -> float:
-    """Real value of the quadratic form v^T A v* for a unit-modulus vector v."""
-    return float(np.real(np.dot(v, a @ np.conj(v))))
+    return np.matmul((gains * power_w[:, None]).swapaxes(-1, -2), np.conj(gains))
 
 
 def _wrap_phases(v: np.ndarray) -> np.ndarray:
@@ -194,63 +188,42 @@ def phase_alternating_opt(a: np.ndarray, init=None, tol: float = 1e-8, max_iter:
     in ascending index order; every single-element update is the exact
     optimum given the others, so the objective never decreases. Stops when
     the relative objective improvement over a full sweep drops below `tol`
-    or after `max_iter` sweeps. Returns phases in [0, 2*pi).
+    or after `max_iter` sweeps. Returns phases in [0, 2*pi). This is
+    `_stacked_ao` on a stack of one.
     """
     s = a.shape[0]
-    if init is None:
-        v = np.ones(s, dtype=complex)
-    else:
-        v = np.asarray(init, dtype=complex).copy()
-        if v.shape != (s,):
+    if init is not None:
+        init = np.asarray(init, dtype=complex)
+        if init.shape != (s,):
             raise ValueError("init length must match the matrix size")
-        if np.any(np.abs(np.abs(v) - 1.0) > 1e-9):
+        if np.any(np.abs(np.abs(init) - 1.0) > 1e-9):
             raise ValueError("init entries must be unit-modulus")
-    if s == 1:
-        return PhaseOptResult(_wrap_phases(v), float(np.real(a[0, 0])), 0)
-    obj = quadratic_objective(a, v)
-    iterations = 0
-    # Each update maximizes the terms linear in v[m], whose coefficient is
-    # sum_{n != m} A[m, n] conj(v[n]); a zero coefficient leaves v[m]
-    # unchanged. conj(v) is kept in step with v.
-    rows = list(a)
-    diag = list(a.diagonal())
-    conj_v = np.conj(v)
-    for sweep in range(1, max_iter + 1):
-        for m in range(s):
-            c = np.dot(rows[m], conj_v) - diag[m] * conj_v[m]
-            if c != 0:
-                u = np.exp(-1j * np.arctan2(c.imag, c.real))
-                v[m] = u
-                conj_v[m] = u.conjugate()
-        new_obj = quadratic_objective(a, v)
-        iterations = sweep
-        if new_obj - obj <= tol * max(abs(obj), 1e-300):
-            obj = new_obj
-            break
-        obj = new_obj
-    return PhaseOptResult(_wrap_phases(v), float(obj), iterations)
+        init = init[None]
+    phases, objectives, iterations = _stacked_ao(a[None], tol, max_iter, init)
+    return PhaseOptResult(phases[0], float(objectives[0]), int(iterations[0]))
 
 
-def _stacked_ao(a: np.ndarray, tol: float, max_iter: int):
-    """`phase_alternating_opt(a[i], tol=tol, max_iter=max_iter)` for every matrix of a (C, S, S) stack.
+def _stacked_ao(a: np.ndarray, tol: float, max_iter: int, init=None):
+    """Element-wise alternating optimization of every matrix of a (C, S, S) stack.
 
-    Returns the phases (C, S), objectives (C,) and iteration counts (C,),
-    each problem's bits equal to its lone call's. All problems start from
-    zero phases and sweep together; a problem leaves the stack once it
-    stops. The element dot is a stacked matmul, which gives np.dot's bits,
-    and the diagonal term is written out in real arithmetic, because an
-    array complex multiply fuses multiply-adds and rounds differently from
-    the scalar product.
+    Problem i starts from the unit-modulus row `init[i]` of a (C, S) array,
+    or from zero phases when `init` is None. Returns the phases (C, S),
+    objectives (C,) and iteration counts (C,). All problems sweep together
+    and a problem leaves the stack once it stops, so each gets the bits it
+    gets alone. The element dot is a stacked matmul, which gives np.dot's
+    bits, and the diagonal term is written out in real arithmetic, because
+    an array complex multiply fuses multiply-adds and rounds differently
+    from the scalar product.
     """
     count, s, _ = a.shape
+    v = np.ones((count, s), dtype=complex) if init is None else np.array(init, dtype=complex)
     iterations = np.zeros(count, dtype=int)
     if s == 1:
-        return np.zeros((count, 1)), a[:, 0, 0].real.copy(), iterations
+        return _wrap_phases(v), a[:, 0, 0].real.copy(), iterations
 
     def objective(a, v, conj_v):
         return np.matmul(v[:, None, :], np.matmul(a, conj_v[:, :, None]))[:, 0, 0].real
 
-    v = np.ones((count, s), dtype=complex)
     obj = objective(a, v, np.conj(v))
     # The live problems: their indices, matrices, phase vectors and objectives.
     live, la, lv, lobj = np.arange(count), a, v.copy(), obj.copy()
@@ -262,6 +235,7 @@ def _stacked_ao(a: np.ndarray, tol: float, max_iter: int):
             d_re, d_im = diag.real.T.copy(), diag.imag.T.copy()
             conj_v = np.conj(lv)
             column = conj_v[:, :, None]
+        # Element m aligns with its coefficient sum_{n != m} A[m, n] conj(v[n]).
         for m in range(s):
             dot = np.matmul(rows[m], column)[:, 0, 0]
             cv_re, cv_im = conj_v[:, m].real, conj_v[:, m].imag
@@ -302,9 +276,7 @@ def _best_phase_candidate(candidates, gains, users, noise_scale, tol, max_iter):
     trials = np.empty((len(candidates), k, n + 1), dtype=complex)
     trials[:, :, :n] = gains
     trials[:, :, n] = [column for _, _, _, column in candidates]
-    # build_phase_matrix of every trial, with the same bits.
-    a = np.matmul((trials * users.power_w[:, None]).transpose(0, 2, 1), np.conj(trials))
-    phases, objectives, iterations = _stacked_ao(a, tol, max_iter)
+    phases, objectives, iterations = _stacked_ao(build_phase_matrix(trials, users.power_w), tol, max_iter)
     best = None
     for i, (m, pos, _, column) in enumerate(candidates):
         rate = float(np.log2(1.0 + float(objectives[i]) / noise_scale))
@@ -330,12 +302,9 @@ def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: floa
         for m, (grid, block) in enumerate(table):
             if m in active:
                 continue
-            try:
-                pos, rate, column = _best_grid_point(grid, block, occupied, aggregate, len(active),
-                                                     users, params, type2)
-            except SegmentInfeasibleError:
-                continue
-            candidates.append((m, pos, rate, column))
+            best = _best_grid_point(grid, block, occupied, aggregate, len(active), users, params, type2)
+            if best is not None:
+                candidates.append((m, *best))
         if not candidates:
             prev = levels[-1]
             levels.append(TraceLevel(level=level, segment=None, position=None,
@@ -406,7 +375,7 @@ def _leftmost_start(table, min_spacing_m):
 
 
 def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
-                     tol: float = 1e-8, max_sweeps: int = 50, table=None):
+                     tol: float = 1e-8, max_iter: int = 100, table=None):
     """Coordinate-descent baseline with all segments activated.
 
     Antennas start at their segment midpoints, or, when the spacing is
@@ -416,9 +385,10 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
     over its currently feasible grid points (a move is accepted only when it
     does not lower the rate), so the placement stays feasible; for "type2"
     the phase vector is re-optimized after each sweep, warm-started from the
-    current phases so the rate stays nondecreasing. Stops when the relative
-    rate improvement of a sweep falls below `tol` or after `max_sweeps`.
-    `table` is as for `greedy_hssa_type1`.
+    current phases so the rate stays nondecreasing, with the AO stop rule
+    `tol` and `max_iter` of `phase_alternating_opt`. Stops when the relative
+    rate improvement of a sweep falls below `tol` or after
+    FULL_SA_MAX_SWEEPS sweeps. `table` is as for `greedy_hssa_type1`.
 
     Returns (placement, rate).
     """
@@ -443,7 +413,7 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
 
     snr = snr_of(gains, w)
     rate = float(np.log2(1.0 + snr))
-    for _ in range(max_sweeps):
+    for _ in range(FULL_SA_MAX_SWEEPS):
         prev_rate = rate
         for m, (grid, block) in enumerate(table):
             feasible = _feasible(grid, block, np.delete(pos, m), params.min_spacing_m)
@@ -459,7 +429,8 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
                 gains[:, m] = trial_gains[:, i]
                 snr = float(snrs[i])
         if variant == "type2":
-            res = phase_alternating_opt(build_phase_matrix(gains, users.power_w), init=w, tol=tol)
+            res = phase_alternating_opt(build_phase_matrix(gains, users.power_w), init=w, tol=tol,
+                                        max_iter=max_iter)
             w_new = np.exp(1j * res.phases)
             snr_new = snr_of(gains, w_new)
             if snr_new >= snr:

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import element_update
+from oracles import element_update, quadratic_objective
 
 from swanopt.bound import SegmentSplit, exact_amplitude_bound, f_exact, f_integral, sum_rate_bound, user_gain_bound
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate
@@ -38,7 +38,6 @@ from swanopt.optimize import (
     greedy_hssa_type1,
     greedy_hssa_type2,
     phase_alternating_opt,
-    quadratic_objective,
 )
 
 PARAMS = SystemParams(carrier_freq_hz=28e9, n_eff=1.4, noise_power_w=1e-12)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cascaded_gain, effective_channel
 
 from swanopt.bound import (
     ProjectionOutOfRangeError,
@@ -23,7 +24,6 @@ from swanopt.bound import (
     sum_rate_bound,
     user_gain_bound,
 )
-from swanopt.channel import cascaded_gain, effective_channel
 from swanopt.geometry import (
     Placement,
     SystemParams,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import watts_to_dbm
 
 from swanopt.geometry import (
     SPEED_OF_LIGHT_M_S,
@@ -12,7 +13,6 @@ from swanopt.geometry import (
     build_centered_layout,
     dbm_to_watts,
     sample_users,
-    watts_to_dbm,
 )
 
 

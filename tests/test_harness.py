@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +99,19 @@ class TestConfigParsing:
     def test_invalid_values_rejected(self, text):
         with pytest.raises(ValueError):
             ExperimentConfig.from_text(text)
+
+    def test_every_field_survives_canonical_text(self):
+        # min_spacing_m stays unset: it conflicts with min_spacing_wavelengths.
+        cfg = ExperimentConfig(
+            carrier_freq_hz=3.5e9, n_eff=1.7, kappa_db_per_m=0.1, min_spacing_wavelengths=0.75,
+            height_m=2.5, noise_dbm=-85.5, segment_length_m=0.8, num_segments=12, segment_sweep=(4, 8),
+            num_users=3, user_sweep=(1, 5), region_x_m=15.0, region_y_m=1 / 3, tx_power_dbm=7.25,
+            grid_points=300, ao_tol=1e-6, ao_max_iter=40, realizations=7, master_seed=99,
+            schemes=("hssa-2", "bound-exact"), output="run.csv")
+        default = ExperimentConfig()
+        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["min_spacing_m"]
+        parsed = ExperimentConfig.from_text(cfg.canonical_text())
+        assert parsed == cfg and repr(parsed) == repr(cfg)  # repr tells 12 from 12.0
 
     def test_hash_is_stable_and_sensitive(self):
         a = ExperimentConfig.from_text(CONFIG_TEXT)

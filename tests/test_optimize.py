@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import element_update
+from oracles import element_update, quadratic_objective
 
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains
 from swanopt.geometry import Placement, SystemParams, UserSet, build_centered_layout, sample_users
 from swanopt.optimize import (
     GreedyTrace,
-    SegmentInfeasibleError,
     _best_grid_point,
     _infeasible_mask,
     _stacked_ao,
@@ -23,7 +22,6 @@ from swanopt.optimize import (
     greedy_hssa_type2,
     grid_gain_table,
     phase_alternating_opt,
-    quadratic_objective,
 )
 
 TWO_PI = 2 * np.pi
@@ -42,7 +40,7 @@ def random_matrix(rng, num_segments, num_users):
 
 
 def place(segment, current, users, layout, params, grid_points, align=False):
-    """(position, rate, gain column) of the best grid point against a committed placement."""
+    """(position, rate, gain column) of the best grid point against a committed placement, or None."""
     aggregate = np.zeros(users.num_users, dtype=complex)
     if current.active:
         aggregate = cascaded_gain_matrix(users, current, layout, params) @ np.exp(1j * current.phase_array())
@@ -217,13 +215,12 @@ class TestPlaceInSegment:
         assert pos == best_x
         assert rate == pytest.approx(best, rel=1e-12)
 
-    def test_fully_blocked_segment_raises(self):
+    def test_fully_blocked_segment_returns_none(self):
         params = params_28ghz(min_spacing_m=2.5)
         lay = build_centered_layout(2, 1.0, 3.0)
         users = sample_users(1, 1.5, 4.0, 0.01, 3)
         current = Placement.empty().with_segment(0, -0.5)
-        with pytest.raises(SegmentInfeasibleError):
-            place(1, current, users, lay, params, 20)
+        assert place(1, current, users, lay, params, 20) is None
 
 
 class TestGreedyTypeOne:
@@ -323,8 +320,10 @@ class TestPhaseMatrix:
 
 
 def element_update_loop(a, init, tol, max_iter):
-    """phase_alternating_opt as one `element_update` call per element: the reference bits."""
+    """AO as one `element_update` call per element: the reference bits of the stacked kernel."""
     v = np.ones(a.shape[0], dtype=complex) if init is None else np.array(init, dtype=complex)
+    if a.shape[0] == 1:  # a lone element has no coefficient to align with
+        return wrap_phases(v), float(np.real(a[0, 0])), 0
     obj = quadratic_objective(a, v)
     iterations = 0
     for sweep in range(1, max_iter + 1):
@@ -336,9 +335,13 @@ def element_update_loop(a, init, tol, max_iter):
             obj = new_obj
             break
         obj = new_obj
+    return wrap_phases(v), float(obj), iterations
+
+
+def wrap_phases(v):
     phases = np.mod(np.angle(v), TWO_PI)
     phases[phases >= TWO_PI] = 0.0
-    return phases, float(obj), iterations
+    return phases
 
 
 class TestPhaseAlternatingOpt:
@@ -425,19 +428,22 @@ class TestPhaseAlternatingOpt:
 
 class TestStackedAO:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(1, 39), st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**32 - 1),
+    @given(st.integers(1, 39), st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
            st.sampled_from([1e-8, 0.0, 1e-3]), st.sampled_from([0, 1, 3, 100]))
-    def test_equals_lone_calls_bit_for_bit(self, c, s, k, seed, tol, max_iter):
+    def test_equals_lone_calls_bit_for_bit(self, c, s, k, seed, warm, tol, max_iter):
         rng = np.random.default_rng(seed)
         gains = 10.0 ** rng.uniform(-6.0, 0.0, (c, k, s)) * (rng.normal(size=(c, k, s)) + 1j * rng.normal(size=(c, k, s)))
         gains *= rng.random((c, 1, s)) >= 0.2  # zero rows and columns of A: zero coefficients
         powers = 10.0 ** rng.uniform(-4.0, 0.0, k)
         a = np.stack([build_phase_matrix(g, powers) for g in gains])
-        phases, objectives, iterations = _stacked_ao(a, tol, max_iter)
+        assert build_phase_matrix(gains, powers).tobytes() == a.tobytes()
+        init = np.exp(1j * rng.uniform(0, TWO_PI, (c, s))) if warm else None
+        phases, objectives, iterations = _stacked_ao(a, tol, max_iter, init)
         for i in range(c):
-            lone = phase_alternating_opt(a[i], tol=tol, max_iter=max_iter)
-            assert phases[i].tobytes() == lone.phases.tobytes()
-            assert objectives[i] == lone.objective and iterations[i] == lone.iterations
+            ref_phases, ref_objective, ref_iterations = element_update_loop(
+                a[i], None if init is None else init[i], tol, max_iter)
+            assert phases[i].tobytes() == ref_phases.tobytes()
+            assert objectives[i] == ref_objective and iterations[i] == ref_iterations
 
 
 class TestGreedyTypeTwo:
@@ -518,11 +524,10 @@ def phase_level_candidates(users, layout, params, grid_points, prefix, tol=1e-8,
             continue
         grid = candidate_grid(m, layout, grid_points)
         block = segment_gains(users, m, grid, layout, params)
-        try:
-            pos, _, column = _best_grid_point(grid, block, prefix.position_array(), aggregate, n,
-                                              users, params, True)
-        except SegmentInfeasibleError:
+        best = _best_grid_point(grid, block, prefix.position_array(), aggregate, n, users, params, True)
+        if best is None:
             continue
+        pos, _, column = best
         trial = np.concatenate([gains, column[:, None]], axis=1)
         yield m, pos, phase_alternating_opt(build_phase_matrix(trial, users.power_w), tol=tol, max_iter=max_iter)
 
