@@ -6,7 +6,8 @@ The partial sums of inverse distances to consecutive segment edges admit a
 closed form through the inverse hyperbolic sine; that form is evaluated with
 a signed lower limit (asinh is odd), which keeps the relative error within
 the documented thresholds for every edge offset, including offsets smaller
-than half a segment.
+than half a segment. Below full activation, each user's bound counts only
+its nearest segments, as many as are active.
 
 Pure functions throughout; safe for arbitrary parallel invocation.
 """
@@ -47,6 +48,16 @@ class SegmentSplit:
             raise ValueError("edge distances must be nonnegative")
 
 
+def _split(x: float, layout: WaveguideLayout) -> tuple[int, float, float]:
+    """(m_k, delta_minus, delta_plus) of a projection x, as in `SegmentSplit`."""
+    lo, hi = layout.extent
+    if not lo <= x <= hi:
+        raise ProjectionOutOfRangeError(f"user projection x={x} outside waveguide extent [{lo}, {hi}]")
+    ends = layout.segment_ends
+    m_k = bisect_left(ends, x)
+    return m_k, x - layout.feed_x[m_k], ends[m_k] - x
+
+
 def split_for_user(user: User, layout: WaveguideLayout) -> SegmentSplit:
     """Locate the segment containing the user projection and the edge offsets.
 
@@ -54,20 +65,8 @@ def split_for_user(user: User, layout: WaveguideLayout) -> SegmentSplit:
     Raises ProjectionOutOfRangeError when the projection is outside the
     waveguide extent.
     """
-    lo, hi = layout.extent
-    if not lo <= user.x <= hi:
-        raise ProjectionOutOfRangeError(
-            f"user projection x={user.x} outside waveguide extent [{lo}, {hi}]"
-        )
-    ends = layout.segment_ends
-    m_k = bisect_left(ends, user.x)
-    return SegmentSplit(
-        m_k=m_k,
-        M_minus=m_k,
-        M_plus=layout.num_segments - 1 - m_k,
-        delta_minus=user.x - layout.feed_x[m_k],
-        delta_plus=ends[m_k] - user.x,
-    )
+    m_k, delta_minus, delta_plus = _split(user.x, layout)
+    return SegmentSplit(m_k, m_k, layout.num_segments - 1 - m_k, delta_minus, delta_plus)
 
 
 def f_exact(delta: float, n: int, length: float, d_sq: float) -> float:
@@ -79,8 +78,16 @@ def f_exact(delta: float, n: int, length: float, d_sq: float) -> float:
     _check_f_args(delta, n, length, d_sq)
     if n == 0:
         return 0.0
-    offsets = delta + length * np.arange(n)
-    return float(np.sum(1.0 / np.sqrt(offsets**2 + d_sq)))
+    # One buffer, filled in place: the same operations in the same order as
+    # 1 / sqrt((delta + length * i)**2 + d_sq), so the same bits.
+    buf = np.arange(n, dtype=float)
+    buf *= length
+    buf += delta
+    buf *= buf
+    buf += d_sq
+    np.sqrt(buf, out=buf)
+    np.divide(1.0, buf, out=buf)
+    return float(np.add.reduce(buf))
 
 
 def f_integral(delta: float, n: int, length: float, d_sq: float) -> float:
@@ -111,6 +118,29 @@ def _check_f_args(delta, n, length, d_sq):
         raise ValueError("squared axis distance must be positive")
 
 
+def _gain(delta_minus, n_minus, delta_plus, n_plus, length, d_sq, eta, partial_sum) -> float:
+    """(eta / S) * [1/sqrt(d_sq) + F(delta_minus, n_minus) + F(delta_plus, n_plus)]^2.
+
+    S = n_minus + n_plus + 1 counts the segments, and F is `partial_sum`.
+    """
+    bracket = (
+        1.0 / math.sqrt(d_sq)
+        + partial_sum(delta_minus, n_minus, length, d_sq)
+        + partial_sum(delta_plus, n_plus, length, d_sq)
+    )
+    return eta / (n_minus + n_plus + 1) * bracket * bracket
+
+
+def _nearest(n, delta_minus, delta_plus, n_minus, n_plus) -> tuple[int, int]:
+    """How many of the n segments nearest a projection lie left and right of its own.
+
+    Edge distances alternate between the sides, starting with the nearer
+    edge (the two offsets sum to one segment length), until a side runs out.
+    """
+    left = max(min(n_minus, (n + (delta_minus <= delta_plus)) // 2), n - n_plus)
+    return left, n - left
+
+
 def user_gain_bound(split: SegmentSplit, num_segments: int, length: float, d_sq: float, eta: float,
                     partial_sum=f_integral) -> float:
     """Upper bound on a user's effective channel gain |h|^2 under ideal combining.
@@ -121,35 +151,40 @@ def user_gain_bound(split: SegmentSplit, num_segments: int, length: float, d_sq:
     """
     if num_segments != split.M_minus + split.M_plus + 1:
         raise ValueError("num_segments inconsistent with the split counts")
-    bracket = (
-        1.0 / math.sqrt(d_sq)
-        + partial_sum(split.delta_minus, split.M_minus, length, d_sq)
-        + partial_sum(split.delta_plus, split.M_plus, length, d_sq)
-    )
-    return eta / num_segments * bracket * bracket
+    return _gain(split.delta_minus, split.M_minus, split.delta_plus, split.M_plus, length, d_sq, eta, partial_sum)
 
 
-def _bound_rate(users: UserSet, layout: WaveguideLayout, params: SystemParams, partial_sum) -> float:
-    total = 0.0
-    d_sq = users.dist_sq_to_axis(layout.height_m)
+def _bound_rate(users: UserSet, layout: WaveguideLayout, params: SystemParams, partial_sum, level) -> float:
     num_segments, length, eta = layout.num_segments, layout.segment_length_m, params.eta
-    for k in range(users.num_users):
-        split = split_for_user(users[k], layout)
-        gain = user_gain_bound(split, num_segments, length, float(d_sq[k]), eta, partial_sum)
-        total += float(users.power_w[k]) * gain
+    if level is None:
+        level = num_segments
+    elif not 1 <= level <= num_segments:
+        raise ValueError(f"activation level must be in 1..{num_segments}, got {level}")
+    h_sq = layout.height_m**2
+    total = 0.0
+    for x, y, power in zip(users.x.tolist(), users.y.tolist(), users.power_w.tolist()):
+        m_k, delta_minus, delta_plus = _split(x, layout)
+        n_minus, n_plus = _nearest(level - 1, delta_minus, delta_plus, m_k, num_segments - 1 - m_k)
+        # y * y, as NumPy squares an array
+        total += power * _gain(delta_minus, n_minus, delta_plus, n_plus, length, h_sq + y * y, eta, partial_sum)
     return float(np.log2(1.0 + total / params.noise_power_w))
 
 
 def sum_rate_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams) -> float:
     """Sum-rate upper bound log2(1 + sum_k P_k G_k / sigma^2) via the closed form."""
-    return _bound_rate(users, layout, params, f_integral)
+    return _bound_rate(users, layout, params, f_integral, None)
 
 
-def exact_amplitude_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams) -> float:
+def exact_amplitude_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams,
+                          level: int | None = None) -> float:
     """Sum-rate upper bound evaluated with the exact amplitude summation.
 
     Places every antenna at the closest point to the user projection within
     its segment and combines the amplitudes coherently; this is the exact
-    counterpart that the closed form approximates.
+    counterpart that the closed form approximates. It bounds the rate of
+    every placement that activates `level` segments (all M by default): each
+    user's gain is capped by its `level` nearest segments, which is the
+    full-activation value only at level M. A placement of fewer segments can
+    beat the level-M value once M is past the best activation level.
     """
-    return _bound_rate(users, layout, params, f_exact)
+    return _bound_rate(users, layout, params, f_exact, level)

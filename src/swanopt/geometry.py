@@ -183,7 +183,7 @@ class Placement:
     `active` keeps activation order (it matters for greedy traces);
     `positions` and `phases` are keyed by segment index. Phases are radians
     in [0, 2*pi) and all-zero for architectures without phase shifters.
-    Treat instances as immutable; use `with_segment` to derive new ones.
+    Treat instances as immutable.
     """
 
     active: tuple[int, ...]
@@ -196,20 +196,6 @@ class Placement:
             raise ValueError("active segments must be distinct")
         if set(self.positions) != set(self.active) or set(self.phases) != set(self.active):
             raise ValueError("positions and phases must be keyed exactly by the active segments")
-
-    @classmethod
-    def empty(cls) -> "Placement":
-        return cls(active=(), positions={}, phases={})
-
-    def with_segment(self, segment: int, position: float, phase: float = 0.0) -> "Placement":
-        """Return a new placement with one more activated segment."""
-        if segment in self.positions:
-            raise ValueError(f"segment {segment} is already active")
-        return Placement(
-            active=self.active + (segment,),
-            positions={**self.positions, segment: float(position)},
-            phases={**self.phases, segment: float(phase)},
-        )
 
     @property
     def num_active(self) -> int:

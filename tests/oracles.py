@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from swanopt.geometry import Placement, SystemParams, User, WaveguideLayout
+from swanopt.bound import split_for_user, user_gain_bound
+from swanopt.geometry import Placement, SystemParams, User, UserSet, WaveguideLayout
 
 
 def watts_to_dbm(watts):
@@ -75,3 +76,38 @@ def element_update(a: np.ndarray, v: np.ndarray, m: int):
     if s == 0:
         return v[m]
     return np.exp(-1j * np.angle(s))
+
+
+def empty_placement() -> Placement:
+    """A placement with no active segment."""
+    return Placement(active=(), positions={}, phases={})
+
+
+def with_segment(placement: Placement, segment: int, position: float, phase: float = 0.0) -> Placement:
+    """Return a new placement with one more activated segment."""
+    if segment in placement.positions:
+        raise ValueError(f"segment {segment} is already active")
+    return Placement(
+        active=placement.active + (segment,),
+        positions={**placement.positions, segment: float(position)},
+        phases={**placement.phases, segment: float(phase)},
+    )
+
+
+def f_exact_sum(delta: float, n: int, length: float, d_sq: float) -> float:
+    """The exact partial sum of `bound.f_exact` as one NumPy expression; 0 for n = 0."""
+    if n == 0:
+        return 0.0
+    return float(np.sum(1.0 / np.sqrt((delta + length * np.arange(n)) ** 2 + d_sq)))
+
+
+def bound_rate_per_user(users: UserSet, layout: WaveguideLayout, params: SystemParams, partial_sum) -> float:
+    """Full-activation sum-rate bound built user by user from `split_for_user` and `user_gain_bound`."""
+    total = 0.0
+    d_sq = users.dist_sq_to_axis(layout.height_m)
+    for k in range(users.num_users):
+        split = split_for_user(users[k], layout)
+        gain = user_gain_bound(split, layout.num_segments, layout.segment_length_m, float(d_sq[k]), params.eta,
+                               partial_sum)
+        total += float(users.power_w[k]) * gain
+    return float(np.log2(1.0 + total / params.noise_power_w))

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import element_update, quadratic_objective
+from oracles import element_update, empty_placement, quadratic_objective, with_segment
 
 from swanopt.bound import SegmentSplit, exact_amplitude_bound, f_exact, f_integral, sum_rate_bound, user_gain_bound
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate
@@ -162,7 +162,7 @@ def test_c04_bound_dominates_random_feasible_placements():
         for _ in range(10):
             size = int(rng.integers(1, num_segments + 1))
             segments = sorted(int(s) for s in rng.choice(num_segments, size=size, replace=False))
-            placement = Placement.empty()
+            placement = empty_placement()
             for m in segments:
                 lo, hi = layout.segment_interval(m)
                 taken = placement.position_array()
@@ -170,7 +170,7 @@ def test_c04_bound_dominates_random_feasible_placements():
                     x = float(rng.uniform(lo, hi))
                     if taken.size == 0 or np.min(np.abs(taken - x)) >= PARAMS.min_spacing_m:
                         break
-                placement = placement.with_segment(m, x, phase=float(rng.uniform(0, 2 * np.pi)))
+                placement = with_segment(placement, m, x, phase=float(rng.uniform(0, 2 * np.pi)))
             placement.validate(layout, PARAMS)
             achieved = placement_sum_rate(users, placement, layout, PARAMS)
             assert achieved <= cap_integral, f"achieved {achieved} exceeds closed-form bound {cap_integral}"
@@ -218,10 +218,10 @@ def test_c05b_single_user_reaches_analytic_alignment():
     for instance in range(100):
         size = int(rng.integers(2, 13))
         users = sample_users(1, 12.0, 20.0, 0.01, [4321, instance])
-        placement = Placement.empty()
+        placement = empty_placement()
         for m in range(size):
             lo, hi = layout.segment_interval(m)
-            placement = placement.with_segment(m, float(rng.uniform(lo, hi)))
+            placement = with_segment(placement, m, float(rng.uniform(lo, hi)))
         matrix = build_phase_matrix(cascaded_gain_matrix(users, placement, layout, PARAMS), users.power_w)
         _, objective, _ = phase_alternating_opt(matrix)
         amplitudes = np.abs(cascaded_gain_matrix(users, placement, layout, PARAMS)[0])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cascaded_gain, effective_channel
+from oracles import bound_rate_per_user, cascaded_gain, effective_channel, empty_placement, f_exact_sum, with_segment
 
 from swanopt.bound import (
     ProjectionOutOfRangeError,
@@ -24,6 +24,7 @@ from swanopt.bound import (
     sum_rate_bound,
     user_gain_bound,
 )
+from swanopt.channel import cascaded_gain_matrix, placement_sum_rate
 from swanopt.geometry import (
     Placement,
     SystemParams,
@@ -33,6 +34,7 @@ from swanopt.geometry import (
     build_centered_layout,
     sample_users,
 )
+from swanopt.optimize import greedy_hssa_type1, greedy_hssa_type2
 
 
 def params_28ghz(**kw):
@@ -239,10 +241,10 @@ class TestRateBounds:
         for _ in range(40):
             size = int(rng.integers(1, 13))
             segments = rng.choice(12, size=size, replace=False)
-            pl = Placement.empty()
+            pl = empty_placement()
             for m in sorted(int(s) for s in segments):
                 lo, hi = lay.segment_interval(m)
-                pl = pl.with_segment(m, float(rng.uniform(lo, hi)), phase=float(rng.uniform(0, 2 * np.pi)))
+                pl = with_segment(pl, m, float(rng.uniform(lo, hi)), phase=float(rng.uniform(0, 2 * np.pi)))
             pl.validate(lay, self.params)
             channels = [effective_channel(pl, users[k], lay, self.params) for k in range(3)]
             achieved = np.log2(1.0 + sum(
@@ -264,10 +266,117 @@ class TestRateBounds:
         lay = build_centered_layout(6, 1.0, 3.0)
         user = User(0.4, 1.5, 0.01)
         for _ in range(20):
-            pl = Placement.empty()
+            pl = empty_placement()
             for m in range(6):
                 lo, hi = lay.segment_interval(m)
-                pl = pl.with_segment(m, float(rng.uniform(lo, hi)), phase=float(rng.uniform(0, 2 * np.pi)))
+                pl = with_segment(pl, m, float(rng.uniform(lo, hi)), phase=float(rng.uniform(0, 2 * np.pi)))
             amps = sum(abs(cascaded_gain(user, m, pl.positions[m], lay, self.params)) for m in pl.active)
             h = effective_channel(pl, user, lay, self.params)
             assert abs(h) ** 2 <= (amps**2 / pl.num_active) * (1 + 1e-12)
+
+
+@st.composite
+def layouts_with_users(draw, max_segments=150, max_users=8):
+    """A contiguous layout and users on shared segment edges, on both extent ends or inside."""
+    num_segments = draw(st.integers(1, max_segments))
+    length = draw(st.floats(0.05, 10.0))
+    start = draw(st.floats(-50.0, 50.0))
+    layout = WaveguideLayout(length, tuple(start + m * length for m in range(num_segments)),
+                             draw(st.floats(0.2, 10.0)))
+    lo, hi = layout.extent
+    edges = [lo, hi, *(x + length for x in layout.feed_x[:-1])]
+    num_users = draw(st.integers(1, max_users))
+    x = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(lo, hi)), min_size=num_users, max_size=num_users))
+    y = draw(st.lists(st.floats(-20.0, 20.0), min_size=num_users, max_size=num_users))
+    power = draw(st.lists(st.floats(1e-4, 1.0), min_size=num_users, max_size=num_users))
+    return layout, UserSet(x=np.array(x), y=np.array(y), power_w=np.array(power))
+
+
+class TestLeanKernelBits:
+    """The in-place sum and the plain-float bound loop give the oracles' bits."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 20.0), st.integers(0, 240), st.floats(1e-3, 10.0), st.floats(1e-3, 1e3))
+    def test_f_exact_matches_expression(self, delta, n, length, d_sq):
+        assert f_exact(delta, n, length, d_sq).hex() == f_exact_sum(delta, n, length, d_sq).hex()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(layouts_with_users())
+    def test_bound_rates_match_per_user_loop(self, case):
+        layout, users = case
+        params = params_28ghz()
+        exact = exact_amplitude_bound(users, layout, params)
+        assert exact.hex() == bound_rate_per_user(users, layout, params, f_exact_sum).hex()
+        assert exact.hex() == exact_amplitude_bound(users, layout, params, level=layout.num_segments).hex()
+        integral = sum_rate_bound(users, layout, params)
+        assert integral.hex() == bound_rate_per_user(users, layout, params, f_integral).hex()
+
+
+def nearest_segments_bound(users, layout, params, level):
+    """Level bound from every segment's nearest point, summing each user's `level` largest amplitudes."""
+    total = 0.0
+    for k in range(users.num_users):
+        feeds = np.array(layout.feed_x)
+        gap = np.maximum(np.maximum(feeds - users.x[k], users.x[k] - feeds - layout.segment_length_m), 0.0)
+        d_sq = layout.height_m**2 + users.y[k] ** 2
+        amplitudes = np.sort(1.0 / np.sqrt(gap**2 + d_sq))[::-1]
+        total += users.power_w[k] * params.eta / level * np.sum(amplitudes[:level]) ** 2
+    return math.log2(1.0 + total / params.noise_power_w)
+
+
+class TestActivationLevelBound:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(layouts_with_users(max_segments=40), st.data())
+    def test_sums_each_users_nearest_segments(self, case, data):
+        layout, users = case
+        params = params_28ghz()
+        level = data.draw(st.integers(1, layout.num_segments))
+        expected = nearest_segments_bound(users, layout, params, level)
+        assert exact_amplitude_bound(users, layout, params, level) == pytest.approx(expected, rel=1e-12)
+
+    def test_level_outside_layout_rejected(self):
+        lay = build_centered_layout(3, 1.0, 3.0)
+        users = UserSet(x=np.zeros(1), y=np.zeros(1), power_w=np.array([0.01]))
+        for level in (0, 4):
+            with pytest.raises(ValueError):
+                exact_amplitude_bound(users, lay, params_28ghz(), level)
+
+
+def attained(rate, bound):
+    # A single user with its antenna exactly at its projection attains the
+    # bound; the channel path and the bound path round differently there.
+    return rate <= bound * (1.0 + 1e-12)
+
+
+class TestBoundDominatesFeasibleRates:
+    """C4 as a property: no feasible placement beats the exact bound at its activation level."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layouts_with_users(max_segments=12), st.floats(0.0, 3.0), st.floats(1e-3, 2.0),
+           st.integers(2, 24), st.data())
+    def test_random_placements_and_greedy_best_levels(self, case, kappa, spacing_ratio, grid_points, data):
+        layout, users = case
+        params = params_28ghz(kappa_db_per_m=kappa, min_spacing_m=spacing_ratio * layout.segment_length_m)
+        segments = data.draw(st.permutations(range(layout.num_segments)))
+        segments = segments[:data.draw(st.integers(1, layout.num_segments))]
+        placement = empty_placement()
+        for m in segments:
+            lo, hi = layout.segment_interval(m)
+            x = lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo)
+            taken = placement.position_array()
+            if taken.size == 0 or np.min(np.abs(taken - x)) >= params.min_spacing_m:
+                placement = with_segment(placement, m, min(x, hi), phase=data.draw(st.floats(0.0, 2 * np.pi)))
+        placement.validate(layout, params)
+        # Phases aligned on the first user's gains bring its |h|^2 to the coherent value.
+        aligned = np.mod(-np.angle(cascaded_gain_matrix(users, placement, layout, params)[0]), 2 * np.pi)
+        coherent = Placement(placement.active, placement.positions, dict(zip(placement.active, aligned)))
+        for pl in (placement, coherent):
+            bound = exact_amplitude_bound(users, layout, params, pl.num_active)
+            assert attained(placement_sum_rate(users, pl, layout, params), bound)
+        for trace in (greedy_hssa_type1(users, layout, params, grid_points),
+                      greedy_hssa_type2(users, layout, params, grid_points)):
+            best = trace.best.placement
+            best.validate(layout, params)
+            bound = exact_amplitude_bound(users, layout, params, best.num_active)
+            assert attained(trace.best_rate, bound)
+            assert attained(placement_sum_rate(users, best, layout, params), bound)

@@ -8,7 +8,7 @@ guided wavelength 0.0107068735 / 1.4 = 7.6477667857142865e-03.
 
 import numpy as np
 import pytest
-from oracles import cascaded_gain, effective_channel, freespace_gain, waveguide_gain
+from oracles import cascaded_gain, effective_channel, empty_placement, freespace_gain, waveguide_gain, with_segment
 
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains, sum_rate
 from swanopt.geometry import Placement, SystemParams, User, UserSet, build_centered_layout, sample_users
@@ -143,15 +143,15 @@ class TestEffectiveChannel:
         self.layout = build_centered_layout(4, 1.0, 3.0)
 
     def _random_placement(self, rng, phases=False):
-        pl = Placement.empty()
+        pl = empty_placement()
         for m in range(4):
             lo, hi = self.layout.segment_interval(m)
-            pl = pl.with_segment(m, float(rng.uniform(lo, hi)),
+            pl = with_segment(pl, m, float(rng.uniform(lo, hi)),
                                  phase=float(rng.uniform(0, 2 * np.pi)) if phases else 0.0)
         return pl
 
     def test_single_segment_equals_cascaded(self):
-        pl = Placement.empty().with_segment(2, 0.3)
+        pl = with_segment(empty_placement(), 2, 0.3)
         user = User(0.5, 1.0, 0.01)
         h = effective_channel(pl, user, self.layout, self.params)
         assert h == pytest.approx(cascaded_gain(user, 2, 0.3, self.layout, self.params), rel=1e-13)
@@ -200,7 +200,7 @@ class TestEffectiveChannel:
 
     def test_empty_placement_rejected(self):
         with pytest.raises(ValueError):
-            effective_channel(Placement.empty(), User(0, 0, 0.01), self.layout, self.params)
+            effective_channel(empty_placement(), User(0, 0, 0.01), self.layout, self.params)
 
     def test_placement_sum_rate_consistent_with_per_user_path(self):
         rng = np.random.default_rng(8)

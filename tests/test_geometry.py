@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import watts_to_dbm
+from oracles import empty_placement, watts_to_dbm, with_segment
 
 from swanopt.geometry import (
     SPEED_OF_LIGHT_M_S,
@@ -180,7 +180,7 @@ class TestPlacement:
         self.params = params_28ghz()
 
     def test_with_segment_accumulates(self):
-        pl = Placement.empty().with_segment(2, 0.4).with_segment(0, -1.7, phase=1.0)
+        pl = with_segment(with_segment(empty_placement(), 2, 0.4), 0, -1.7, phase=1.0)
         assert pl.active == (2, 0)
         assert pl.positions == {2: 0.4, 0: -1.7}
         assert pl.phases == {2: 0.0, 0: 1.0}
@@ -205,6 +205,6 @@ class TestPlacement:
             Placement(active=(0,), positions={0: -1.5}, phases={})
 
     def test_duplicate_segment_rejected(self):
-        pl = Placement.empty().with_segment(1, -0.5)
+        pl = with_segment(empty_placement(), 1, -0.5)
         with pytest.raises(ValueError):
-            pl.with_segment(1, -0.4)
+            with_segment(pl, 1, -0.4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import element_update, quadratic_objective
+from oracles import element_update, empty_placement, quadratic_objective, with_segment
 
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains
 from swanopt.geometry import Placement, SystemParams, UserSet, build_centered_layout, sample_users
@@ -112,11 +112,11 @@ def spacing_scenarios(draw):
 class TestInfeasiblePoints:
     def test_empty_placement_excludes_nothing(self):
         grid = np.array([0.0, 0.5, 0.9, 1.1])
-        assert not _infeasible_mask(grid, Placement.empty().position_array(), 0.2).any()
+        assert not _infeasible_mask(grid, empty_placement().position_array(), 0.2).any()
 
     def test_points_near_placed_antenna_excluded(self):
         lay = build_centered_layout(4, 1.0, 3.0, region_center_x=2.0)
-        placed = Placement.empty().with_segment(0, 1.0)
+        placed = with_segment(empty_placement(), 0, 1.0)
         grid = np.array([0.0, 0.5, 0.9, 1.1])
         assert list(grid[_infeasible_mask(grid, placed.position_array(), 0.2)]) == [0.9, 1.1]
 
@@ -125,7 +125,7 @@ class TestInfeasiblePoints:
         # ceil(delta * (Q - 1) / L) + 1 points of the adjacent segment's grid.
         params = params_28ghz()
         lay = build_centered_layout(2, 1.0, 3.0, region_center_x=1.0)
-        placed = Placement.empty().with_segment(0, 1.0)
+        placed = with_segment(empty_placement(), 0, 1.0)
         for q in (100, 1000):
             grid = candidate_grid(1, lay, q)
             excluded = _infeasible_mask(grid, placed.position_array(), params.min_spacing_m)
@@ -169,20 +169,20 @@ class TestPlaceInSegment:
 
     def test_single_user_lands_within_one_grid_step_of_projection(self):
         users = sample_users(1, 0.8, 6.0, 0.01, 41)
-        pos, _, _ = place(1, Placement.empty(), users, self.layout, self.params, 101)
+        pos, _, _ = place(1, empty_placement(), users, self.layout, self.params, 101)
         step = 1.0 / 100.0
         assert abs(pos - users.x[0]) <= step
 
     def test_phase_mode_immaterial_for_first_antenna(self):
         users = sample_users(2, 2.5, 10.0, 0.01, 43)
-        pos_none, rate_none, col_none = place(0, Placement.empty(), users, self.layout, self.params, 40)
-        pos_align, rate_align, col_align = place(0, Placement.empty(), users, self.layout, self.params, 40, True)
+        pos_none, rate_none, col_none = place(0, empty_placement(), users, self.layout, self.params, 40)
+        pos_align, rate_align, col_align = place(0, empty_placement(), users, self.layout, self.params, 40, True)
         assert (pos_none, rate_none) == (pos_align, rate_align)
         assert np.array_equal(col_none, col_align)
 
     def test_returned_point_beats_every_feasible_grid_point(self):
         users = sample_users(3, 2.5, 12.0, 0.01, 47)
-        current = Placement.empty().with_segment(0, -1.2).with_segment(2, 0.8)
+        current = with_segment(with_segment(empty_placement(), 0, -1.2), 2, 0.8)
         pos, rate, column = place(1, current, users, self.layout, self.params, 50)
         assert np.array_equal(column, segment_gains(users, 1, pos, self.layout, self.params))
         grid = candidate_grid(1, self.layout, 50)
@@ -190,14 +190,14 @@ class TestPlaceInSegment:
         for x in grid:
             if float(x) in bad:
                 continue
-            trial = current.with_segment(1, float(x))
+            trial = with_segment(current, 1, float(x))
             assert rate >= placement_sum_rate(users, trial, self.layout, self.params) - 1e-12
-        best = current.with_segment(1, pos)
+        best = with_segment(current, 1, pos)
         assert rate == pytest.approx(placement_sum_rate(users, best, self.layout, self.params), rel=1e-12)
 
     def test_aligned_mode_maximizes_single_element_alignment(self):
         users = sample_users(3, 2.5, 12.0, 0.01, 53)
-        current = Placement.empty().with_segment(0, -1.2, phase=0.7).with_segment(2, 0.8, phase=2.1)
+        current = with_segment(with_segment(empty_placement(), 0, -1.2, phase=0.7), 2, 0.8, phase=2.1)
         pos, rate, _ = place(1, current, users, self.layout, self.params, 40, True)
         g_cur = cascaded_gain_matrix(users, current, self.layout, self.params)
         agg = g_cur @ np.exp(1j * current.phase_array())
@@ -219,7 +219,7 @@ class TestPlaceInSegment:
         params = params_28ghz(min_spacing_m=2.5)
         lay = build_centered_layout(2, 1.0, 3.0)
         users = sample_users(1, 1.5, 4.0, 0.01, 3)
-        current = Placement.empty().with_segment(0, -0.5)
+        current = with_segment(empty_placement(), 0, -0.5)
         assert place(1, current, users, lay, params, 20) is None
 
 
@@ -232,13 +232,13 @@ class TestGreedyTypeOne:
         users = sample_users(1, 0.9, 5.0, 0.01, 61)
         trace = greedy_hssa_type1(users, lay, self.params, 60)
         assert len(trace.levels) == 1 and trace.best_level == 1
-        pos, rate, _ = place(0, Placement.empty(), users, lay, self.params, 60)
+        pos, rate, _ = place(0, empty_placement(), users, lay, self.params, 60)
         assert trace.levels[0].position == pos and trace.levels[0].rate == rate
 
     def test_first_pick_matches_single_segment_oracle(self):
         lay = build_centered_layout(3, 1.0, 3.0)
         users = sample_users(1, 0.9, 8.0, 0.01, 67)  # projection inside the middle segment
-        per_segment = [place(m, Placement.empty(), users, lay, self.params, 80)[1]
+        per_segment = [place(m, empty_placement(), users, lay, self.params, 80)[1]
                        for m in range(3)]
         trace = greedy_hssa_type1(users, lay, self.params, 80)
         assert trace.levels[0].segment == int(np.argmax(per_segment)) == 1
@@ -290,7 +290,7 @@ class TestPhaseMatrix:
 
     def test_single_user_two_segments_is_rank_one(self):
         users = sample_users(1, 3.0, 6.0, 0.01, 89)
-        pl = Placement.empty().with_segment(0, -1.6).with_segment(2, 0.4)
+        pl = with_segment(with_segment(empty_placement(), 0, -1.6), 2, 0.4)
         pm = build_phase_matrix(cascaded_gain_matrix(users, pl, self.layout, self.params), users.power_w)
         g = cascaded_gain_matrix(users, pl, self.layout, self.params)[0]
         expected = 0.01 * np.outer(g, np.conj(g))
@@ -300,10 +300,10 @@ class TestPhaseMatrix:
 
     def test_hermitian_with_real_nonnegative_diagonal(self):
         users = sample_users(5, 4.0, 10.0, 0.01, 97)
-        pl = Placement.empty()
+        pl = empty_placement()
         for m in range(4):
             lo, hi = self.layout.segment_interval(m)
-            pl = pl.with_segment(m, (lo + hi) / 2 + 0.01 * m)
+            pl = with_segment(pl, m, (lo + hi) / 2 + 0.01 * m)
         pm = build_phase_matrix(cascaded_gain_matrix(users, pl, self.layout, self.params), users.power_w)
         assert np.max(np.abs(pm - pm.conj().T)) < 1e-12 * np.max(np.abs(pm))
         diag = pm.diagonal()
@@ -371,10 +371,10 @@ class TestPhaseAlternatingOpt:
         rng = np.random.default_rng(107)
         for trial in range(10):
             users = sample_users(1, 8.0, 10.0, 0.01, [991, trial])
-            pl = Placement.empty()
+            pl = empty_placement()
             for m in range(8):
                 lo, hi = lay.segment_interval(m)
-                pl = pl.with_segment(m, float(rng.uniform(lo, hi)))
+                pl = with_segment(pl, m, float(rng.uniform(lo, hi)))
             pm = build_phase_matrix(cascaded_gain_matrix(users, pl, lay, params), users.power_w)
             _, objective, _ = phase_alternating_opt(pm)
             g = cascaded_gain_matrix(users, pl, lay, params)[0]
@@ -548,7 +548,7 @@ class TestBoundPruning:
     def test_committed_segment_is_the_exhaustive_argmax(self, scenario):
         users, layout, params, grid_points = scenario
         trace = greedy_hssa_type2(users, layout, params, grid_points)
-        prefix = Placement.empty()
+        prefix = empty_placement()
         for lvl in trace.levels:
             oracle = exhaustive_phase_level(users, layout, params, grid_points, prefix)
             if lvl.degenerate:
@@ -565,7 +565,7 @@ class TestAoCounters:
         users, layout, params, grid_points = scenario
         trace = greedy_hssa_type2(users, layout, params, grid_points, tol=tol, max_iter=max_iter)
         runs = sweeps = cap_hits = 0
-        prefix = Placement.empty()
+        prefix = empty_placement()
         for lvl in trace.levels:
             if lvl.degenerate:
                 continue
@@ -651,7 +651,7 @@ class TestFullSegmentAggregationBaseline:
     def test_single_segment_equals_grid_placement(self):
         lay = build_centered_layout(1, 1.0, 3.0)
         users = sample_users(2, 0.9, 6.0, 0.01, 149)
-        pos, rate, _ = place(0, Placement.empty(), users, lay, self.params, 51)
+        pos, rate, _ = place(0, empty_placement(), users, lay, self.params, 51)
         placement, sa_rate = full_sa_baseline(users, lay, self.params, 51, "type1")
         assert placement.positions[0] == pos
         assert sa_rate == pytest.approx(rate, rel=1e-12)
