@@ -15,8 +15,6 @@ from .harness import (
     run_segment_sweep,
     run_single,
     run_user_sweep,
-    sweep_csv_text,
-    trace_csv_text,
     write_sweep_result,
     write_trace_result,
 )
@@ -59,12 +57,10 @@ def main(argv=None) -> int:
             raise ValueError("no output path: set 'output' in the config or pass --output")
         if args.command == "single-run":
             traces = run_single(config)
-            write_trace_result(traces, config, config.output)
-            text = trace_csv_text(traces)
+            text = write_trace_result(traces, config, config.output)
         else:
             result = _RUNNERS[args.command](config)
-            write_sweep_result(result, config.output)
-            text = sweep_csv_text(result)
+            text = write_sweep_result(result, config.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

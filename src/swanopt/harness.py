@@ -16,17 +16,17 @@ projections are all inside, and its index in the stream (the redraw count)
 is recorded in the sidecar metadata; optimizer schemes keep the original
 draw, which they handle fine. A realization that needs more than
 MAX_REDRAWS redraws raises ValueError. The stream does not depend on the
-segment count, so a sweep keeps each realization's Generator and the
-draws made so far across its points (until the user count changes) and
-draws further only when no kept draw fits; the accepted draws and counts
-are those of a fresh stream at every point.
+segment count, so a sweep runs one realization at a time over all its
+points: the realization's stream keeps its draws from point to point
+(until the user count changes) and draws further only when no kept draw
+fits, so the accepted draws and counts are those of a fresh stream at
+every point.
 """
 
 import hashlib
 import json
 import math
 import warnings
-from array import array
 from dataclasses import dataclass, fields, replace
 from types import UnionType
 from typing import get_args, get_origin
@@ -113,6 +113,20 @@ class ExperimentConfig:
             raise ValueError("min_spacing_m must be positive")
         if self.min_spacing_wavelengths <= 0:
             raise ValueError("min_spacing_wavelengths must be positive")
+        # Finite extreme values can overflow, underflow to 0 or divide by 0
+        # in the quantities derived from them.
+        for key, quantity, derive in (
+            ("tx_power_dbm", "the transmit power in watts", lambda: self.tx_power_w),
+            ("noise_dbm", "the noise power in watts", lambda: dbm_to_watts(self.noise_dbm)),
+            ("carrier_freq_hz", "the free-space gain at 1 m", lambda: self.system_params().eta),
+        ):
+            try:
+                derived = derive()
+            except ArithmeticError:
+                derived = math.nan
+            if not (math.isfinite(derived) and derived > 0):
+                raise ValueError(f"{key} = {getattr(self, key):.6g} is out of range: "
+                                 f"{quantity} is not a positive finite double")
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -263,73 +277,49 @@ def _write_with_sidecar(path, csv_text: str, config_hash: str, sweep_var: str, r
         handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_sweep_result(result: SweepResult, path) -> None:
-    """Write the CSV (17 significant digits) plus a metadata sidecar."""
-    _write_with_sidecar(path, sweep_csv_text(result), result.config_hash, result.sweep_var, result.resample_counts)
+def write_sweep_result(result: SweepResult, path) -> str:
+    """Write the CSV (17 significant digits) plus a metadata sidecar; returns the CSV text."""
+    text = sweep_csv_text(result)
+    _write_with_sidecar(path, text, result.config_hash, result.sweep_var, result.resample_counts)
+    return text
 
 
 class _UserStream:
     """The draws of one realization's stream (master_seed, realization).
 
-    Draw 0 is the user set every scheme sees. Later draws are kept as their
-    x/y values plus x-range, not as UserSets, so that sweep points with the
-    same user count can reuse them.
+    Draw 0, `users`, is the user set every scheme sees. The stream keeps
+    every draw with its x-range, so that the sweep points of one
+    realization with the same user count reuse them.
     """
 
     def __init__(self, config: ExperimentConfig, num_users: int, realization: int):
         self.config = config
         self.num_users = num_users
         self.rng = np.random.default_rng([config.master_seed, realization])
-        self.xy = array("d")  # per draw: its num_users x values, then its y values
-        self.x_min = array("d")
-        self.x_max = array("d")
+        self.draws: list[tuple[UserSet, float, float]] = []  # (users, x min, x max) in stream order
         self.users = self._draw()
 
     def _draw(self) -> UserSet:
         c = self.config
         users = sample_users(self.num_users, c.region_x_m, c.region_y_m, c.tx_power_w, self.rng)
-        self.xy.extend(users.x)
-        self.xy.extend(users.y)
-        self.x_min.append(users.x.min())
-        self.x_max.append(users.x.max())
+        self.draws.append((users, users.x.min(), users.x.max()))
         return users
 
     def inside(self, lo: float, hi: float) -> tuple[UserSet, int]:
         """The first draw with every projection in [lo, hi], and its index in the stream."""
         j = 0
         while True:
-            if j == len(self.x_min):
+            if j == len(self.draws):
                 self._draw()
-            if lo <= self.x_min[j] and self.x_max[j] <= hi:
-                break
+            users, x_min, x_max = self.draws[j]
+            if lo <= x_min and x_max <= hi:
+                return users, j
             if j == MAX_REDRAWS:
                 raise ValueError(
                     f"no draw of {self.num_users} users within {MAX_REDRAWS} redraws has every projection "
                     f"inside the waveguide extent [{lo:.6g}, {hi:.6g}] m; widen the layout or narrow region_x_m"
                 )
             j += 1
-        if j == 0:
-            return self.users, 0
-        k = self.num_users
-        start = 2 * k * j
-        return UserSet(x=self.xy[start:start + k], y=self.xy[start + k:start + 2 * k], power_w=self.users.power_w), j
-
-
-def _draw_realization(config: ExperimentConfig, num_users: int, realization: int, extent=None, streams=None):
-    """Draw the users for one realization; returns (users, bound_users, redraws).
-
-    `streams` maps realization indices to the streams drawn so far for this
-    `num_users`; a stream found there is reused and a new one is added.
-    """
-    if streams is None:
-        streams = {}
-    if realization not in streams:
-        streams[realization] = _UserStream(config, num_users, realization)
-    stream = streams[realization]
-    if extent is None:
-        return stream.users, stream.users, 0
-    bound_users, redraws = stream.inside(*extent)
-    return stream.users, bound_users, redraws
 
 
 def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, table=None):
@@ -364,31 +354,26 @@ def _result_rate(result) -> float:
     return result
 
 
-def _require_positive(rates: np.ndarray, schemes, where: str, config: ExperimentConfig) -> None:
-    """Raise ValueError when a rate in the (scheme, realization) array is not positive.
+def _require_positive(rate: float, scheme: str, where: str, config: ExperimentConfig) -> None:
+    """Raise ValueError when a scheme's rate is not positive.
 
     log2(1 + snr) rounds to 0 once the SNR is below about 1e-16, so a zero
     rate means the noise floor swamps the transmit power.
     """
-    bad = np.flatnonzero(~(rates > 0).all(axis=1))
-    if bad.size:
+    if not rate > 0:
         raise ValueError(
-            f"{schemes[bad[0]]} rate at {where} is not positive (SNR below double precision); "
+            f"{scheme} rate at {where} is not positive (SNR below double precision); "
             f"lower noise_dbm ({config.noise_dbm:.6g}) or raise tx_power_dbm ({config.tx_power_dbm:.6g})"
         )
 
 
 def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
+    """Run each realization over all (value, num_segments, num_users) points, one user stream at a time."""
     params = config.system_params()
     needs_bound_users = any(s in _BOUND_SCHEMES for s in config.schemes)
     needs_table = any(s not in _BOUND_SCHEMES for s in config.schemes)
-    rows = []
-    resample_counts = {}
-    streams, streams_num_users = {}, None
-    for value, num_segments, num_users in points:
-        if num_users != streams_num_users:
-            streams, streams_num_users = {}, num_users
-        layout = config.layout_for(num_segments)
+    layouts = [config.layout_for(num_segments) for _, num_segments, _ in points]
+    for (value, _, _), layout in zip(points, layouts):
         coverage = layout.extent[1] - layout.extent[0]
         if needs_bound_users and coverage < config.region_x_m * (1 - 1e-12):
             warnings.warn(
@@ -398,21 +383,30 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        rates = np.empty((len(config.schemes), config.realizations))
-        redrawn = 0
-        for r in range(config.realizations):
-            extent = layout.extent if needs_bound_users else None
-            users, bound_users, redraws = _draw_realization(config, num_users, r, extent, streams)
-            redrawn += redraws
+    rates = np.empty((len(points), len(config.schemes), config.realizations))
+    redraws = np.zeros((len(points), config.realizations), dtype=int)
+    for r in range(config.realizations):
+        stream = None
+        for p, ((value, _, num_users), layout) in enumerate(zip(points, layouts)):
+            if stream is None or stream.num_users != num_users:
+                stream = None  # drop the old draws first, so that one stream is alive at a time
+                stream = _UserStream(config, num_users, r)
+            bound_users = stream.users
+            if needs_bound_users:
+                bound_users, redraws[p, r] = stream.inside(*layout.extent)
             # Every optimizer scheme searches the same grid gains of these users.
-            table = grid_gain_table(users, layout, params, config.grid_points) if needs_table else None
+            table = grid_gain_table(stream.users, layout, params, config.grid_points) if needs_table else None
             for i, scheme in enumerate(config.schemes):
-                chosen = bound_users if scheme in _BOUND_SCHEMES else users
-                rates[i, r] = _result_rate(_run_scheme(scheme, chosen, layout, params, config, table))
-            del table  # so that two realizations' tables never coexist (peak memory)
-        _require_positive(rates, config.schemes, f"{sweep_var} = {value}", config)
-        resample_counts[value] = redrawn
-        for scheme, vals in zip(config.schemes, rates):
+                chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
+                rate = _result_rate(_run_scheme(scheme, chosen, layout, params, config, table))
+                _require_positive(rate, scheme, f"{sweep_var} = {value}", config)
+                rates[p, i, r] = rate
+            del table  # so that two tables never coexist (peak memory)
+    rows = []
+    resample_counts = {}
+    for (value, _, _), point_rates, point_redraws in zip(points, rates, redraws):
+        resample_counts[value] = int(point_redraws.sum())
+        for scheme, vals in zip(config.schemes, point_rates):
             std = float(np.std(vals, ddof=1)) if config.realizations > 1 else 0.0
             rows.append(SweepRow(sweep_var, value, scheme, float(np.mean(vals)), std,
                                  config.realizations, config.master_seed))
@@ -455,9 +449,11 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
         raise ValueError("single run needs hssa-1 and/or hssa-2 in schemes")
     params = config.system_params()
     layout = config.layout_for(config.num_segments)
-    users, _, _ = _draw_realization(config, config.num_users, 0)
-    traces = {scheme: _run_scheme(scheme, users, layout, params, config) for scheme in greedy}
-    _require_positive(np.array([[t.best_rate] for t in traces.values()]), greedy, "the single run", config)
+    users = _UserStream(config, config.num_users, 0).users
+    table = grid_gain_table(users, layout, params, config.grid_points)
+    traces = {scheme: _run_scheme(scheme, users, layout, params, config, table) for scheme in greedy}
+    for scheme, trace in traces.items():
+        _require_positive(trace.best_rate, scheme, "the single run", config)
     return traces
 
 
@@ -478,9 +474,11 @@ def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_result(traces: dict[str, GreedyTrace], config: ExperimentConfig, path) -> None:
-    """Write the trace CSV plus a sidecar with sweep_var "single" and no resampling."""
-    _write_with_sidecar(path, trace_csv_text(traces), config.config_hash(), "single", {})
+def write_trace_result(traces: dict[str, GreedyTrace], config: ExperimentConfig, path) -> str:
+    """Write the trace CSV plus a sidecar with sweep_var "single" and no resampling; returns the CSV text."""
+    text = trace_csv_text(traces)
+    _write_with_sidecar(path, text, config.config_hash(), "single", {})
+    return text
 
 
 def apply_overrides(config: ExperimentConfig, seed=None, realizations=None, output=None) -> ExperimentConfig:

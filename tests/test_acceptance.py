@@ -158,7 +158,6 @@ def test_c04_bound_dominates_random_feasible_placements():
         num_users = int(rng.integers(1, 9))
         users = sample_users(num_users, num_segments * 1.0, 20.0, 0.01, rng)
         cap_integral = sum_rate_bound(users, layout, PARAMS)
-        cap_exact = exact_amplitude_bound(users, layout, PARAMS)
         for _ in range(10):
             size = int(rng.integers(1, num_segments + 1))
             segments = sorted(int(s) for s in rng.choice(num_segments, size=size, replace=False))
@@ -173,10 +172,13 @@ def test_c04_bound_dominates_random_feasible_placements():
                 placement = with_segment(placement, m, x, phase=float(rng.uniform(0, 2 * np.pi)))
             placement.validate(layout, PARAMS)
             achieved = placement_sum_rate(users, placement, layout, PARAMS)
-            assert achieved <= cap_integral, f"achieved {achieved} exceeds closed-form bound {cap_integral}"
-            assert achieved <= cap_exact
+            # A placement of S segments is capped by the level-S bound; the
+            # full-activation bounds cap only placements of all M segments.
+            assert achieved <= exact_amplitude_bound(users, layout, PARAMS, level=placement.num_active)
+            if placement.num_active == num_segments:
+                assert achieved <= cap_integral, f"achieved {achieved} exceeds closed-form bound {cap_integral}"
             checked += 1
-    print(f"[C4] PASS: {checked} random feasible placements all below the rate bound (exact inequality)")
+    print(f"[C4] PASS: {checked} random feasible placements all below their level's rate bound (exact inequality)")
 
 
 # --------------------------------------------------------------------------

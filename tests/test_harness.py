@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from swanopt.harness import (
     CSV_HEADER,
     MAX_REDRAWS,
     ExperimentConfig,
-    _draw_realization,
+    _UserStream,
     run_bound_sweep,
     run_segment_sweep,
     run_single,
@@ -121,10 +122,17 @@ class TestConfigParsing:
         assert c.config_hash() != a.config_hash()
 
 
+def draw(stream, extent=None):
+    """(users, bound_users, redraws) of a stream at a sweep point, as the sweep takes them."""
+    if extent is None:
+        return stream.users, stream.users, 0
+    return (stream.users, *stream.inside(*extent))
+
+
 class TestDrawRealization:
     def test_first_draw_matches_sample_users(self):
         cfg = ExperimentConfig(num_users=3)
-        users, bound_users, redraws = _draw_realization(cfg, 3, 5)
+        users, bound_users, redraws = draw(_UserStream(cfg, 3, 5))
         direct = sample_users(3, 20, 20, cfg.tx_power_w, [cfg.master_seed, 5])
         assert np.array_equal(users.x, direct.x) and np.array_equal(users.y, direct.y)
         assert redraws == 0 and bound_users is users
@@ -132,16 +140,16 @@ class TestDrawRealization:
     def test_resampling_confines_bound_users_only(self):
         cfg = ExperimentConfig(num_users=2, master_seed=3)
         layout = cfg.layout_for(3)
-        users, bound_users, redraws = _draw_realization(cfg, 2, 0, extent=layout.extent)
+        users, bound_users, redraws = draw(_UserStream(cfg, 2, 0), extent=layout.extent)
         assert np.all(np.abs(bound_users.x) <= 1.5)
         assert redraws >= 1  # a 20 m region almost surely needs redraws for a 3 m extent
         direct = sample_users(2, 20, 20, cfg.tx_power_w, [3, 0])
         assert np.array_equal(users.x, direct.x)
 
     @staticmethod
-    def outcome(config, num_users, realization, extent, streams):
+    def outcome(stream, extent):
         try:
-            return _draw_realization(config, num_users, realization, extent, streams)
+            return draw(stream, extent)
         except ValueError as exc:
             return str(exc)
 
@@ -183,8 +191,10 @@ class TestDrawRealization:
             for r, i in order:
                 frac = extents[i % len(extents)]
                 extent = None if frac is None else (region[0] * frac[0], region[0] * (frac[0] + frac[1]))
-                kept = self.outcome(cfg, num_users, r, extent, streams)
-                fresh = self.outcome(cfg, num_users, r, extent, None)
+                if r not in streams:
+                    streams[r] = _UserStream(cfg, num_users, r)
+                kept = self.outcome(streams[r], extent)
+                fresh = self.outcome(_UserStream(cfg, num_users, r), extent)
                 want = self.redraw_oracle(cfg, num_users, r, extent, cap)
                 if want is None:
                     assert isinstance(kept, str) and "redraws" in kept and kept == fresh
@@ -266,6 +276,10 @@ class TestSweepEngine:
         cfg = self.make_config(schemes=schemes, realizations=3, segment_sweep=(2, 5))
         shared = run_segment_sweep(cfg)
         assert len(calls) == 3 * per_segment * (2 + 5)
+        if "hssa-1" in schemes:
+            calls.clear()
+            run_single(replace(cfg, num_segments=5))  # both greedy schemes share one table
+            assert len(calls) == 5
         monkeypatch.setattr(harness, "grid_gain_table", lambda *args: None)
         assert run_segment_sweep(cfg) == shared  # each scheme building its own table
 
@@ -302,14 +316,36 @@ class TestSweepEngine:
                 assert later.mean_rate >= earlier.mean_rate - slack
 
     def test_user_sweep_points_match_their_own_sweeps(self):
-        # Kept draws belong to one user count; a new count starts new streams.
-        cfg = self.make_config(segment_sweep=None, num_segments=6, num_users=None, user_sweep=(2, 1, 3),
-                               realizations=8, schemes=("bound-exact", "hssa-1"))
-        res = run_user_sweep(cfg)
-        for k in cfg.user_sweep:
-            alone = run_user_sweep(replace(cfg, user_sweep=(k,)))
-            assert [res.row(k, s) for s in cfg.schemes] == [alone.row(k, s) for s in cfg.schemes]
-            assert res.resample_counts[k] == alone.resample_counts[k]
+        # Kept draws belong to one user count; a new count starts a new
+        # stream. Within one count, a point that needs fewer redraws than the
+        # point before it (segment counts out of order) reuses kept draws.
+        user_cfg = self.make_config(segment_sweep=None, num_segments=6, num_users=None, user_sweep=(2, 1, 3),
+                                    realizations=8, schemes=("bound-exact", "hssa-1"))
+        segment_cfg = self.make_config(segment_sweep=(8, 2, 5), realizations=8,
+                                       schemes=("bound-exact", "hssa-1", "full-sa-1"))
+        for run, cfg, field in ((run_user_sweep, user_cfg, "user_sweep"),
+                                (run_segment_sweep, segment_cfg, "segment_sweep")):
+            res = run(cfg)
+            for value in getattr(cfg, field):
+                alone = run(replace(cfg, **{field: (value,)}))
+                assert [res.row(value, s) for s in cfg.schemes] == [alone.row(value, s) for s in cfg.schemes]
+                assert res.resample_counts[value] == alone.resample_counts[value]
+        assert res.resample_counts[2] > 0
+
+    def test_one_user_stream_alive_at_a_time(self, monkeypatch):
+        live = weakref.WeakSet()
+        most = []
+
+        class CountedStream(harness._UserStream):
+            def __init__(self, *args):
+                most.append(len(live) + 1)
+                live.add(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(harness, "_UserStream", CountedStream)
+        run_user_sweep(self.make_config(segment_sweep=None, num_segments=6, num_users=None, user_sweep=(2, 1, 1, 3),
+                                        realizations=3, schemes=("bound-exact", "hssa-1")))
+        assert len(most) == 3 * 3 and max(most) == 1
 
     def test_user_sweep_single_user_point_matches_segment_sweep(self):
         ucfg = self.make_config(segment_sweep=None, num_segments=4, num_users=None,
@@ -333,7 +369,7 @@ class TestSingleRun:
         traces = run_single(cfg)
         params = cfg.system_params()
         layout = cfg.layout_for(3)
-        users, _, _ = _draw_realization(cfg, 2, 0)
+        users, _, _ = draw(_UserStream(cfg, 2, 0))
         direct1 = greedy_hssa_type1(users, layout, params, 25)
         direct2 = greedy_hssa_type2(users, layout, params, 25)
         assert [l.rate for l in traces["hssa-1"].levels] == [l.rate for l in direct1.levels]
@@ -439,14 +475,17 @@ class TestCli:
         path.write_text(text)
         return str(path)
 
-    def test_segment_sweep_end_to_end(self, tmp_path, capsys):
+    def test_segment_sweep_end_to_end(self, tmp_path, capsys, monkeypatch):
+        formatted = []
+        monkeypatch.setattr(harness, "sweep_csv_text", lambda result: formatted.append(1) or sweep_csv_text(result))
         cfg = self.write_config(tmp_path, CONFIG_TEXT)
         out = tmp_path / "run.csv"
         code = cli_main(["segment-sweep", "--config", cfg, "--output", str(out)])
         assert code == 0
         assert out.exists() and (tmp_path / "run.csv.meta.json").exists()
         stdout = capsys.readouterr().out
-        assert CSV_HEADER in stdout and "wrote" in stdout
+        assert stdout.startswith(out.read_text()) and CSV_HEADER in stdout and "wrote" in stdout
+        assert len(formatted) == 1  # the printed text is the written text
 
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, CONFIG_TEXT)
@@ -491,6 +530,22 @@ class TestCli:
         out = tmp_path / "trace.csv"
         assert cli_main(["single-run", "--config", cfg, "--output", str(out), "--quiet"]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("carrier_freq_hz", "0"),  # zero division in the spacing
+        ("carrier_freq_hz", "1e-300"),  # zero division in the free-space gain
+        ("carrier_freq_hz", "1e300"),  # overflow in the free-space gain
+        ("tx_power_dbm", "4000"),  # overflow in dBm to watts
+        ("noise_dbm", "4000"),
+        ("tx_power_dbm", "-4000"),  # underflow to 0 W
+    ])
+    def test_out_of_range_value_reports_error(self, tmp_path, capsys, key, value):
+        text = f"num_users = 1\nnum_segments = 2\ngrid_points = 20\nschemes = hssa-1\n{key} = {value}\n"
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "trace.csv"
+        assert cli_main(["single-run", "--config", cfg, "--output", str(out), "--quiet"]) == 2
+        assert f"{key} = {float(value):.6g} is out of range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infeasible_full_activation_reports_error(self, tmp_path, capsys):

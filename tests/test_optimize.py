@@ -424,6 +424,10 @@ class TestPhaseAlternatingOpt:
         ref_phases, ref_objective, ref_iterations = element_update_loop(a, init, tol, max_iter)
         assert np.array_equal(phases, ref_phases)
         assert objective == ref_objective and iterations == ref_iterations
+        # C5: AO never ends below its start (zero phases when cold); the
+        # guard absorbs re-evaluation rounding of the quadratic form.
+        start = quadratic_objective(a, np.ones(s, dtype=complex) if init is None else init)
+        assert objective >= start - 1e-13 * max(abs(start), 1.0)
 
 
 class TestStackedAO:
