@@ -127,6 +127,20 @@ class ExperimentConfig:
             if not (math.isfinite(derived) and derived > 0):
                 raise ValueError(f"{key} = {getattr(self, key):.6g} is out of range: "
                                  f"{quantity} is not a positive finite double")
+        # The gain kernel and the bounds square user-to-antenna distances and
+        # multiply them by the wavenumber; an overflow there gives NaN gains.
+        num_segments = max((*(self.segment_sweep or ()), self.num_segments or 1))
+        reach = {
+            "region_x_m": abs(self.region_x_m) / 2.0,
+            "segment_length_m": num_segments * abs(self.segment_length_m) / 2.0,
+            "region_y_m": abs(self.region_y_m) / 2.0,
+            "height_m": abs(self.height_m),
+        }
+        farthest = math.hypot(reach["region_x_m"] + reach["segment_length_m"], reach["region_y_m"], reach["height_m"])
+        if not (math.isfinite(farthest * farthest) and math.isfinite(self.system_params().wavenumber * farthest)):
+            key = max(reach, key=reach.get)
+            raise ValueError(f"{key} = {getattr(self, key):.6g} is out of range: the largest user-to-antenna "
+                             f"distance, {farthest:.6g} m, squared or times the wavenumber is not a finite double")
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":

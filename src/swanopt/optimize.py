@@ -20,6 +20,16 @@ once; the baseline runs it on a stack of one, warm-started, through
 `phase_alternating_opt`. Grid gains are computed once per scheme call, or
 once for all schemes when the caller passes the table.
 
+Both greedy searches keep one spacing mask per segment across levels and,
+after each commit, update only the segments less than two spacings from the
+new antenna. Only the switch-only search prunes: a segment's largest gain
+amplitude per user over its whole grid caps its rate at every feasible grid
+point (triangle inequality), the cap is widened by BOUND_MARGIN for
+rounding, and segments are grid-searched in descending cap order until the
+next cap's rate is below the incumbent's, which returns the exhaustive
+search's winner. The phase-shifter search grid-searches every segment,
+because every candidate enters its AO stack.
+
 Determinism: ties between candidate segments resolve to the smallest segment
 index, ties between grid points to the smallest coordinate, and phase updates
 run in ascending index order. Identical inputs give bit-identical traces.
@@ -37,6 +47,9 @@ from .geometry import Placement, WaveguideLayout
 TWO_PI = 2.0 * np.pi
 # Sweep cap of the full-activation baseline's coordinate descent.
 FULL_SA_MAX_SWEEPS = 100
+# Relative widening of the switch-only search's rate cap, far above the
+# few-ulp rounding of a computed rate and of its cap.
+BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,8 +72,9 @@ class TraceLevel:
 class GreedyTrace:
     """All activation levels generated by one greedy run.
 
-    The phase-shifter search also counts its AO work: the problems solved,
-    the sum of their sweeps, and the problems of more than one element that
+    `grid_searches` counts the per-segment grid searches that ran. The
+    phase-shifter search also counts its AO work: the problems solved, the
+    sum of their sweeps, and the problems of more than one element that
     stopped at the sweep cap. The switch-only search leaves them at 0.
     """
 
@@ -68,6 +82,7 @@ class GreedyTrace:
     ao_runs: int = 0
     ao_sweeps: int = 0
     ao_cap_hits: int = 0
+    grid_searches: int = 0
 
     @property
     def best(self) -> TraceLevel:
@@ -139,28 +154,33 @@ def _feasible(grid, block, occupied, min_spacing_m):
     return grid[~mask], block[:, ~mask]
 
 
-def _best_grid_point(grid, block, occupied, aggregate, n_active, users, params, align):
+def _best_grid_point(grid, block, free, aggregate, n_active, users, params, align):
     """Best feasible grid position for a trial antenna, committed antennas fixed.
 
-    `grid` and `block` are one segment's entry of the grid-gain table.
-    `aggregate` holds the per-user unnormalized channel sums of the committed
-    antennas. With `align` the trial antenna's phase shifter is set to the
-    single-element optimum against that aggregate; otherwise it stays at zero.
-    Returns (position, sum_rate, gain column at that position), or None when
-    the whole grid violates the spacing constraint.
+    `grid` and `block` are one segment's entry of the grid-gain table, and
+    `free` is the boolean mask of its grid points clear of the committed
+    antennas, or None when all are. `aggregate` holds the per-user
+    unnormalized channel sums of the committed antennas. With `align` the
+    trial antenna's phase shifter is set to the single-element optimum
+    against that aggregate; otherwise it stays at zero. Returns (position,
+    sum_rate, gain column at that position).
     """
-    feasible = _feasible(grid, block, occupied, params.min_spacing_m)
-    if feasible is None:
-        return None
-    pts, gains = feasible
+    pts, gains = (grid, block) if free is None else (grid[free], block[:, free])
     if align and n_active:
         # Best phase for the new antenna with all committed phases held fixed.
         s = np.sum(users.power_w[:, None] * gains * np.conj(aggregate)[:, None], axis=0)
         v = np.where(s == 0, 1.0 + 0.0j, np.exp(-1j * np.angle(s)))
+        h = aggregate[:, None] + v * gains
     else:
-        v = 1.0
-    h = (aggregate[:, None] + v * gains) / np.sqrt(n_active + 1)
-    snr = np.sum(users.power_w[:, None] * np.abs(h) ** 2, axis=0) / params.noise_power_w
+        h = aggregate[:, None] + gains
+    # NumPy divides by a real-valued complex through its reciprocal, so this
+    # gives the magnitudes that dividing by sqrt(n + 1) gives, bit for bit.
+    h *= 1.0 / np.sqrt(n_active + 1)
+    received = np.abs(h)
+    np.square(received, out=received)
+    received *= users.power_w[:, None]
+    snr = received.sum(axis=0)
+    snr /= params.noise_power_w
     i = int(np.argmax(snr))
     return float(pts[i]), float(np.log2(1.0 + snr[i])), gains[:, i]
 
@@ -285,58 +305,102 @@ def _best_phase_candidate(candidates, gains, users, noise_scale, tol, max_iter):
     return best, iterations
 
 
+def _switch_only_level(table, free, searchable, peak, aggregate, n_active, users, params):
+    """Best (rate, segment, position, column) of one switch-only level, and the grid searches it ran.
+
+    Segments go in descending order of their cap sum_k P_k (|a_k| + peak[m, k])^2
+    (see the module docstring) until a cap rate is below the incumbent's rate;
+    ties go to the smallest segment, as in a search of every segment.
+    """
+    caps = np.square(np.abs(aggregate) + peak[searchable]) @ users.power_w
+    cap_rates = np.log2(1.0 + caps * (1.0 + BOUND_MARGIN) / ((n_active + 1) * params.noise_power_w))
+    best = None
+    searches = 0
+    for i in np.argsort(-caps, kind="stable").tolist():
+        if best is not None and cap_rates[i] < best[0]:
+            break
+        m = searchable[i]
+        pos, rate, column = _best_grid_point(*table[m], free[m], aggregate, n_active, users, params, False)
+        searches += 1
+        if best is None or rate > best[0] or (rate == best[0] and m < best[1]):
+            best = (rate, m, pos, column)
+    return best, searches
+
+
 def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
     # Committed state in activation order: segments, positions, phases and
     # the (K, S) gain matrix whose columns are reused by every later level.
     if table is None:
         table = grid_gain_table(users, layout, params, grid_points)
+    spacing = params.min_spacing_m
     active: list[int] = []
     positions: list[float] = []
     gains = np.zeros((users.num_users, 0), dtype=complex)
     aggregate = np.zeros(users.num_users, dtype=complex)
     levels: list[TraceLevel] = []
-    ao_runs = ao_sweeps = ao_cap_hits = 0
+    ao_runs = ao_sweeps = ao_cap_hits = grid_searches = 0
+    # Per segment: None while every grid point is clear of the committed
+    # antennas, else the boolean mask of the clear points, or False once none
+    # is (a committed segment takes no second antenna).
+    free: list = [None] * len(table)
+    grid_lo = np.array([grid[0] for grid, _ in table])
+    grid_hi = np.array([grid[-1] for grid, _ in table])
+    if not type2:
+        # Largest gain amplitude of each (segment, user) over the whole grid.
+        peak = np.stack([np.abs(block).max(axis=1) for _, block in table])
     for level in range(1, layout.num_segments + 1):
-        occupied = np.array(positions, dtype=float)
-        candidates = []  # (segment, position, rate, column) in ascending segment order
-        for m, (grid, block) in enumerate(table):
-            if m in active:
-                continue
-            best = _best_grid_point(grid, block, occupied, aggregate, len(active), users, params, type2)
-            if best is not None:
-                candidates.append((m, *best))
-        if not candidates:
+        searchable = [m for m, f in enumerate(free) if f is not False]
+        if not searchable:
             prev = levels[-1]
             levels.append(TraceLevel(level=level, segment=None, position=None,
                                      placement=prev.placement, rate=prev.rate, degenerate=True))
             continue
+        n_active = len(active)
         if type2:
+            candidates = [(m, *_best_grid_point(*table[m], free[m], aggregate, n_active, users, params, True))
+                          for m in searchable]
+            grid_searches += len(candidates)
             (rate, m, pos, column, phases), iterations = _best_phase_candidate(
-                candidates, gains, users, (len(active) + 1) * params.noise_power_w, tol, max_iter)
+                candidates, gains, users, (n_active + 1) * params.noise_power_w, tol, max_iter)
             ao_runs += iterations.size
             ao_sweeps += int(iterations.sum())
             if active:  # problems of one element take no sweeps
                 ao_cap_hits += int(np.count_nonzero(iterations >= max_iter))
         else:
-            # max keeps the first of equal rates: the smallest segment.
-            m, pos, rate, column = max(candidates, key=lambda c: c[2])
-            phases = np.zeros(len(active) + 1)
+            (rate, m, pos, column), searches = _switch_only_level(
+                table, free, searchable, peak, aggregate, n_active, users, params)
+            grid_searches += searches
+            phases = np.zeros(n_active + 1)
         active.append(m)
         positions.append(pos)
+        free[m] = False
+        # Only grid points less than the spacing from the new antenna become
+        # blocked, and only segments less than two spacings away can hold
+        # one (see _infeasible_mask); the comparison is the all-pairs one.
+        near = (grid_lo - pos < 2.0 * spacing) & (pos - grid_hi < 2.0 * spacing)
+        for j in np.flatnonzero(near).tolist():
+            if free[j] is False:
+                continue
+            hit = np.abs(table[j][0] - pos) < spacing
+            if hit.any():
+                clear = ~hit if free[j] is None else free[j] & ~hit
+                free[j] = clear if clear.any() else False
         gains = np.concatenate([gains, column[:, None]], axis=1)
         aggregate = gains @ np.exp(1j * phases)
         placement = Placement(active=tuple(active), positions=dict(zip(active, positions)),
                               phases=dict(zip(active, phases.tolist())))
         levels.append(TraceLevel(level=level, segment=m, position=pos, placement=placement, rate=rate))
-    return GreedyTrace(levels=tuple(levels), ao_runs=ao_runs, ao_sweeps=ao_sweeps, ao_cap_hits=ao_cap_hits)
+    return GreedyTrace(levels=tuple(levels), ao_runs=ao_runs, ao_sweeps=ao_sweeps, ao_cap_hits=ao_cap_hits,
+                       grid_searches=grid_searches)
 
 
 def greedy_hssa_type1(users, layout, params, grid_points, table=None) -> GreedyTrace:
     """Greedy segment activation and placement for the switch-only architecture.
 
-    At every level each inactive segment is trial-placed with a 1-d grid
-    search, the best segment is committed, and the level is stored; the best
-    stored level dominates full activation by construction. `table` is
+    At every level the inactive segments are trial-placed with a 1-d grid
+    search, skipping those whose rate cap cannot beat the best found; the
+    best segment is committed, and the level is stored. The best stored
+    level dominates full activation by construction. `table` is
     `grid_gain_table(users, layout, params, grid_points)`, built here when
     omitted.
     """
@@ -347,9 +411,10 @@ def greedy_hssa_type2(users, layout, params, grid_points, tol: float = 1e-8, max
                       table=None) -> GreedyTrace:
     """Greedy activation and placement with per-segment phase shifters.
 
-    Like the switch-only search, but every candidate is re-scored after a
-    full phase alternating optimization (all-zero initialization), and the
-    committed snapshot carries the converged phases. `table` is as for
+    Like the switch-only search, but without pruning: every inactive segment
+    with a feasible grid point is a candidate and is re-scored after a full
+    phase alternating optimization (all-zero initialization). The committed
+    snapshot carries the converged phases. `table` is as for
     `greedy_hssa_type1`.
     """
     return _greedy(users, layout, params, grid_points, table, type2=True, tol=tol, max_iter=max_iter)

@@ -434,14 +434,30 @@ class TestBenchmarkReferences:
     COMMANDS = {"desk-sweep": "segment-sweep", "switch-only": "segment-sweep", "bound-sweep": "bound-sweep"}
     RESAMPLE_COUNTS = Path(__file__).parent / "data" / "reference_resample_counts.json"
 
+    # Grid searches over each sweep. hssa-2 searches every inactive segment
+    # at every level, M(M+1)/2 per run here (no segment is ever fully
+    # blocked). An unpruned hssa-1 would run as many, 2132 on desk-sweep and
+    # 4264 on switch-only; its bound pruning leaves 561 and 763.
+    GRID_SEARCHES = {"desk-sweep": {"hssa-1": 561, "hssa-2": 2132}, "switch-only": {"hssa-1": 763}, "bound-sweep": {}}
+
     @pytest.mark.parametrize("workload", ["desk-sweep", "switch-only", "bound-sweep"])
-    def test_cli_reproduces_reference_bytes(self, tmp_path, workload):
+    def test_cli_reproduces_reference_bytes(self, tmp_path, monkeypatch, workload):
+        traces = {"hssa-1": [], "hssa-2": []}
+        for scheme, search in (("hssa-1", greedy_hssa_type1), ("hssa-2", greedy_hssa_type2)):
+            def recording(*args, search=search, runs=traces[scheme], **kwargs):
+                runs.append(search(*args, **kwargs))
+                return runs[-1]
+            monkeypatch.setattr(harness, search.__name__, recording)
         out = tmp_path / f"{workload}.csv"
         config = self.BENCH / "configs" / f"{workload}.cfg"
         assert cli_main([self.COMMANDS[workload], "--config", str(config), "--output", str(out), "--quiet"]) == 0
         assert out.read_bytes() == (self.BENCH / "reference" / f"{workload}.csv").read_bytes()
         meta = json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))
         assert meta["resample_counts"] == json.loads(self.RESAMPLE_COUNTS.read_text(encoding="utf-8"))[workload]
+        searches = {scheme: sum(t.grid_searches for t in runs) for scheme, runs in traces.items() if runs}
+        assert searches == self.GRID_SEARCHES[workload]
+        for trace in traces["hssa-2"]:
+            assert trace.grid_searches == len(trace.levels) * (len(trace.levels) + 1) // 2
 
 
 class TestPersistence:
@@ -539,6 +555,10 @@ class TestCli:
         ("tx_power_dbm", "4000"),  # overflow in dBm to watts
         ("noise_dbm", "4000"),
         ("tx_power_dbm", "-4000"),  # underflow to 0 W
+        ("height_m", "1e200"),  # overflow in the squared distance
+        ("region_x_m", "1e300"),
+        ("region_y_m", "1e300"),  # NaN gains from the phase of an infinite distance
+        ("segment_length_m", "1e300"),
     ])
     def test_out_of_range_value_reports_error(self, tmp_path, capsys, key, value):
         text = f"num_users = 1\nnum_segments = 2\ngrid_points = 20\nschemes = hssa-1\n{key} = {value}\n"

@@ -46,8 +46,16 @@ def place(segment, current, users, layout, params, grid_points, align=False):
         aggregate = cascaded_gain_matrix(users, current, layout, params) @ np.exp(1j * current.phase_array())
     grid = candidate_grid(segment, layout, grid_points)
     block = segment_gains(users, segment, grid, layout, params)
-    return _best_grid_point(grid, block, current.position_array(), aggregate, current.num_active,
-                            users, params, align)
+    return grid_search(grid, block, current.position_array(), aggregate, current.num_active, users, params, align)
+
+
+def grid_search(grid, block, occupied, aggregate, n_active, users, params, align):
+    """`_best_grid_point` with the spacing mask built from the occupied positions; None when it blocks every point."""
+    blocked = _infeasible_mask(grid, occupied, params.min_spacing_m)
+    if blocked.all():
+        return None
+    free = ~blocked if blocked.any() else None
+    return _best_grid_point(grid, block, free, aggregate, n_active, users, params, align)
 
 
 class TestCandidateGrid:
@@ -528,7 +536,7 @@ def phase_level_candidates(users, layout, params, grid_points, prefix, tol=1e-8,
             continue
         grid = candidate_grid(m, layout, grid_points)
         block = segment_gains(users, m, grid, layout, params)
-        best = _best_grid_point(grid, block, prefix.position_array(), aggregate, n, users, params, True)
+        best = grid_search(grid, block, prefix.position_array(), aggregate, n, users, params, True)
         if best is None:
             continue
         pos, _, column = best
@@ -546,6 +554,24 @@ def exhaustive_phase_level(users, layout, params, grid_points, prefix):
     return best
 
 
+def exhaustive_switch_only_level(users, layout, params, grid_points, prefix):
+    """(rate, segment, position) of the best zero-phase grid point after `prefix` over every inactive segment.
+
+    Ties go to the smallest segment. Also returns the number of segments with a feasible grid point.
+    """
+    best, feasible = None, 0
+    for m in range(layout.num_segments):
+        if m in prefix.active:
+            continue
+        found = place(m, prefix, users, layout, params, grid_points)
+        if found is None:
+            continue
+        feasible += 1
+        if best is None or found[1] > best[0]:
+            best = (found[1], m, found[0])
+    return best, feasible
+
+
 class TestBoundPruning:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(greedy_scenarios())
@@ -560,6 +586,51 @@ class TestBoundPruning:
                 continue
             assert (lvl.rate, lvl.segment, lvl.position) == oracle
             prefix = lvl.placement
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(greedy_scenarios())
+    def test_switch_only_commits_the_exhaustive_argmax(self, scenario):
+        users, layout, params, grid_points = scenario
+        trace = greedy_hssa_type1(users, layout, params, grid_points)
+        prefix = empty_placement()
+        exhaustive = 0
+        for lvl in trace.levels:
+            oracle, feasible = exhaustive_switch_only_level(users, layout, params, grid_points, prefix)
+            exhaustive += feasible
+            if lvl.degenerate:
+                assert oracle is None
+                continue
+            assert (lvl.rate, lvl.segment, lvl.position) == oracle
+            prefix = lvl.placement
+        committed = sum(not lvl.degenerate for lvl in trace.levels)
+        assert committed <= trace.grid_searches <= exhaustive
+
+    @pytest.mark.parametrize("noise_power_w, committed, a, c", [
+        # Level 1 at an SNR of about 1e-12: the widened bound rounds to the rate itself.
+        (1e12, [], None, [1.0, 1.0]),
+        # Level 2 after an antenna with gains `a`: the bound computed without
+        # its margin rounds below segment 0's rate (found by random search).
+        (1.0, [2], [13.130272488412855, 9.83854782023462], [1.817288772715028, 1.5026990031763663]),
+    ])
+    def test_switch_only_tie_goes_to_the_smaller_segment(self, noise_power_w, committed, a, c):
+        # Segments 0 and 1 share their best column c, so they tie on rate.
+        # Segment 1's other column has a larger gain for user 0 and a smaller
+        # sum, so its bound is larger and it is searched first. Segment 0's
+        # bound rate reaches the tied rate only through the margin and the
+        # strict comparison, and segment 0 must be committed.
+        params = params_28ghz(noise_power_w=noise_power_w)
+        layout = build_centered_layout(3, 1.0, 3.0)
+        users = UserSet(x=[0.0, 0.0], y=[0.0, 0.0], power_w=[1.0, 1.0])
+        c = np.array(c, dtype=complex)
+        strong = np.array([1.2 * c[0], 0.0])
+        # Segment 2 holds `a`, far stronger than the others, or nothing usable.
+        far = np.zeros(2) if a is None else np.array(a)
+        blocks = [np.stack([c, c], axis=1), np.stack([c, strong], axis=1), np.stack([far, far], axis=1)]
+        table = [(candidate_grid(m, layout, 2), block.astype(complex)) for m, block in enumerate(blocks)]
+        trace = greedy_hssa_type1(users, layout, params, 2, table=table)
+        assert [lvl.segment for lvl in trace.levels[:len(committed)]] == committed
+        tied = trace.levels[len(committed)]
+        assert tied.segment == 0 and tied.position == table[0][0][0]
 
 
 class TestAoCounters:
@@ -579,6 +650,7 @@ class TestAoCounters:
                 cap_hits += prefix.num_active > 0 and res.iterations >= max_iter
             prefix = lvl.placement
         assert (trace.ao_runs, trace.ao_sweeps, trace.ao_cap_hits) == (runs, sweeps, cap_hits)
+        assert trace.grid_searches == runs  # every candidate is grid-searched once
         switch_only = greedy_hssa_type1(users, layout, params, grid_points)
         assert (switch_only.ao_runs, switch_only.ao_sweeps, switch_only.ao_cap_hits) == (0, 0, 0)
 
