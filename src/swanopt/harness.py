@@ -20,7 +20,9 @@ segment count, so a sweep runs one realization at a time over all its
 points: the realization's stream keeps its draws from point to point
 (until the user count changes) and draws further only when no kept draw
 fits, so the accepted draws and counts are those of a fresh stream at
-every point.
+every point. The stream also caches its users' grid-gain blocks and full-SA
+midpoint columns by segment interval, so each distinct interval's block is
+computed once per realization and every later point and scheme reuses it.
 """
 
 import hashlib
@@ -303,7 +305,8 @@ class _UserStream:
 
     Draw 0, `users`, is the user set every scheme sees. The stream keeps
     every draw with its x-range, so that the sweep points of one
-    realization with the same user count reuse them.
+    realization with the same user count reuse them, and the cache `gains`
+    of the blocks computed from `users` (see `grid_gain_table`).
     """
 
     def __init__(self, config: ExperimentConfig, num_users: int, realization: int):
@@ -312,6 +315,7 @@ class _UserStream:
         self.rng = np.random.default_rng([config.master_seed, realization])
         self.draws: list[tuple[UserSet, float, float]] = []  # (users, x min, x max) in stream order
         self.users = self._draw()
+        self.gains: dict = {}
 
     def _draw(self) -> UserSet:
         c = self.config
@@ -336,13 +340,13 @@ class _UserStream:
             j += 1
 
 
-def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, table=None):
+def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, table=None, cache=None):
     """Call one scheme with the config's settings and return its own result.
 
     Bounds return a rate, the greedy searches a GreedyTrace and the
     full-activation baselines a (placement, rate) pair. The optimizers take
     `table`, the grid-gain table of `users` on `layout`, or build their own
-    when it is None.
+    when it is None; the baselines keep their midpoint columns in `cache`.
     """
     if scheme == "bound-exact":
         return exact_amplitude_bound(users, layout, params)
@@ -356,7 +360,7 @@ def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, ta
     if scheme in ("full-sa-1", "full-sa-2"):
         variant = "type1" if scheme == "full-sa-1" else "type2"
         return full_sa_baseline(users, layout, params, config.grid_points, variant,
-                                tol=config.ao_tol, max_iter=config.ao_max_iter, table=table)
+                                tol=config.ao_tol, max_iter=config.ao_max_iter, table=table, cache=cache)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -369,11 +373,18 @@ def _result_rate(result) -> float:
 
 
 def _require_positive(rate: float, scheme: str, where: str, config: ExperimentConfig) -> None:
-    """Raise ValueError when a scheme's rate is not positive.
+    """Raise ValueError when a scheme's rate is not finite and positive.
 
     log2(1 + snr) rounds to 0 once the SNR is below about 1e-16, so a zero
-    rate means the noise floor swamps the transmit power.
+    rate means the noise floor swamps the transmit power; a rate that is not
+    finite means the SNR, or the received power, overflows a double.
     """
+    if not math.isfinite(rate):
+        raise ValueError(
+            f"{scheme} rate at {where} is {rate} (SNR overflows double precision); raise noise_dbm "
+            f"({config.noise_dbm:.6g}), lower tx_power_dbm ({config.tx_power_dbm:.6g}) or raise "
+            f"carrier_freq_hz ({config.carrier_freq_hz:.6g})"
+        )
     if not rate > 0:
         raise ValueError(
             f"{scheme} rate at {where} is not positive (SNR below double precision); "
@@ -409,13 +420,14 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
             if needs_bound_users:
                 bound_users, redraws[p, r] = stream.inside(*layout.extent)
             # Every optimizer scheme searches the same grid gains of these users.
-            table = grid_gain_table(stream.users, layout, params, config.grid_points) if needs_table else None
+            table = None
+            if needs_table:
+                table = grid_gain_table(stream.users, layout, params, config.grid_points, stream.gains)
             for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
-                rate = _result_rate(_run_scheme(scheme, chosen, layout, params, config, table))
+                rate = _result_rate(_run_scheme(scheme, chosen, layout, params, config, table, stream.gains))
                 _require_positive(rate, scheme, f"{sweep_var} = {value}", config)
                 rates[p, i, r] = rate
-            del table  # so that two tables never coexist (peak memory)
     rows = []
     resample_counts = {}
     for (value, _, _), point_rates, point_redraws in zip(points, rates, redraws):

@@ -17,18 +17,22 @@ phase matrices whose problems leave the stack as they converge, so every
 problem gets the bits it gets alone. The phase-shifter search grid-searches
 every candidate first and then runs AO on all of a level's candidates at
 once; the baseline runs it on a stack of one, warm-started, through
-`phase_alternating_opt`. Grid gains are computed once per scheme call, or
-once for all schemes when the caller passes the table.
+`phase_alternating_opt`. Grid gains are computed once per scheme call, once
+for all schemes when the caller passes the table, or once per distinct
+segment interval over many layouts of the same users when the caller passes
+a cache (see `grid_gain_table`).
 
 Both greedy searches keep one spacing mask per segment across levels and,
 after each commit, update only the segments less than two spacings from the
-new antenna. Only the switch-only search prunes: a segment's largest gain
-amplitude per user over its whole grid caps its rate at every feasible grid
-point (triangle inequality), the cap is widened by BOUND_MARGIN for
-rounding, and segments are grid-searched in descending cap order until the
-next cap's rate is below the incumbent's, which returns the exhaustive
-search's winner. The phase-shifter search grid-searches every segment,
-because every candidate enters its AO stack.
+new antenna. The baseline keeps one per segment across its sweeps and, after
+each move, rebuilds those of the segments less than two spacings from the
+old or the new position. Only the switch-only search prunes: a segment's
+largest gain amplitude per user over its whole grid caps its rate at every
+feasible grid point (triangle inequality), the cap is widened by
+BOUND_MARGIN for rounding, and segments are grid-searched in descending cap
+order until the next cap's rate is below the incumbent's, which returns the
+exhaustive search's winner. The phase-shifter search grid-searches every
+segment, because every candidate enters its AO stack.
 
 Determinism: ties between candidate segments resolve to the smallest segment
 index, ties between grid points to the smallest coordinate, and phase updates
@@ -125,7 +129,16 @@ def _infeasible_mask(grid: np.ndarray, positions: np.ndarray, min_spacing_m: flo
     return (np.abs(grid[:, None] - near[None, :]) < min_spacing_m).any(axis=1)
 
 
-def grid_gain_table(users, layout, params, grid_points) -> list[tuple[np.ndarray, np.ndarray]]:
+def _cached(cache, key, compute):
+    """`compute()`, kept in `cache` under `key` when a cache dict is given."""
+    if cache is None:
+        return compute()
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
+
+
+def grid_gain_table(users, layout, params, grid_points, cache=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per segment, its candidate grid and the (K, Q) gains at every grid point.
 
     The gains do not depend on the other antennas, so one table serves every
@@ -133,25 +146,18 @@ def grid_gain_table(users, layout, params, grid_points) -> list[tuple[np.ndarray
     on the same users and layout; it costs M * K * Q * 16 bytes. Slicing a
     block gives the bits `segment_gains` returns on the same subset, because
     the kernel is elementwise.
+
+    A segment's entry depends on the layout only through its interval, so a
+    `cache` dict shared by layouts of one user set, one set of params, one
+    height, one segment length and one `grid_points` keeps each entry under
+    `layout.segment_interval(m)` and hands it to every layout with that
+    interval.
     """
-    table = []
-    for m in range(layout.num_segments):
+    def entry(m):
         grid = candidate_grid(m, layout, grid_points)
-        table.append((grid, segment_gains(users, m, grid, layout, params)))
-    return table
+        return grid, segment_gains(users, m, grid, layout, params)
 
-
-def _feasible(grid, block, occupied, min_spacing_m):
-    """Grid points at least `min_spacing_m` from every occupied position, with their gain columns.
-
-    Returns None when no point is feasible; the block is sliced only when some point is not.
-    """
-    mask = _infeasible_mask(grid, occupied, min_spacing_m)
-    if not mask.any():
-        return grid, block
-    if mask.all():
-        return None
-    return grid[~mask], block[:, ~mask]
+    return [_cached(cache, layout.segment_interval(m), lambda: entry(m)) for m in range(layout.num_segments)]
 
 
 def _best_grid_point(grid, block, free, aggregate, n_active, users, params, align):
@@ -440,7 +446,7 @@ def _leftmost_start(table, min_spacing_m):
 
 
 def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
-                     tol: float = 1e-8, max_iter: int = 100, table=None):
+                     tol: float = 1e-8, max_iter: int = 100, table=None, cache=None):
     """Coordinate-descent baseline with all segments activated.
 
     Antennas start at their segment midpoints, or, when the spacing is
@@ -453,21 +459,25 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
     current phases so the rate stays nondecreasing, with the AO stop rule
     `tol` and `max_iter` of `phase_alternating_opt`. Stops when the relative
     rate improvement of a sweep falls below `tol` or after
-    FULL_SA_MAX_SWEEPS sweeps. `table` is as for `greedy_hssa_type1`.
+    FULL_SA_MAX_SWEEPS sweeps. `table` is as for `greedy_hssa_type1`, and a
+    `cache` as for `grid_gain_table` also keeps the midpoint gain columns,
+    under ("midpoint", *interval).
 
     Returns (placement, rate).
     """
     if variant not in ("type1", "type2"):
         raise ValueError(f"unknown variant {variant!r}")
     num_segments = layout.num_segments
+    spacing = params.min_spacing_m
     if table is None:
-        table = grid_gain_table(users, layout, params, grid_points)
+        table = grid_gain_table(users, layout, params, grid_points, cache)
     pos = np.array([layout.feed_x[m] + layout.segment_length_m / 2.0 for m in range(num_segments)])
-    if num_segments == 1 or np.diff(pos).min() >= params.min_spacing_m:
-        gains = np.stack([segment_gains(users, m, float(pos[m]), layout, params) for m in range(num_segments)],
-                         axis=1)
+    if num_segments == 1 or np.diff(pos).min() >= spacing:
+        gains = np.stack([_cached(cache, ("midpoint", *layout.segment_interval(m)),
+                                  lambda: segment_gains(users, m, float(pos[m]), layout, params))
+                          for m in range(num_segments)], axis=1)
     else:
-        pos, gains = _leftmost_start(table, params.min_spacing_m)
+        pos, gains = _leftmost_start(table, spacing)
     phase = np.zeros(num_segments)
     w = np.exp(1j * phase)
     scale = num_segments * params.noise_power_w
@@ -476,23 +486,47 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
         h2 = np.abs(gmat @ vvec) ** 2
         return float(np.sum(users.power_w * h2) / scale)
 
+    def free_points(m):
+        # As in _greedy: None while every grid point is clear of the other
+        # antennas, else the boolean mask of the clear points, or False.
+        blocked = _infeasible_mask(table[m][0], np.delete(pos, m), spacing)
+        return None if not blocked.any() else False if blocked.all() else ~blocked
+
+    free = [free_points(m) for m in range(num_segments)]
+    grid_lo = np.array([grid[0] for grid, _ in table])
+    grid_hi = np.array([grid[-1] for grid, _ in table])
     snr = snr_of(gains, w)
     rate = float(np.log2(1.0 + snr))
     for _ in range(FULL_SA_MAX_SWEEPS):
         prev_rate = rate
         for m, (grid, block) in enumerate(table):
-            feasible = _feasible(grid, block, np.delete(pos, m), params.min_spacing_m)
-            if feasible is None:
+            if free[m] is False:
                 continue
-            pts, trial_gains = feasible
+            pts, trial_gains = (grid, block) if free[m] is None else (grid[free[m]], block[:, free[m]])
             agg_others = gains @ w - w[m] * gains[:, m]
-            h2 = np.abs(agg_others[:, None] + w[m] * trial_gains) ** 2
-            snrs = np.sum(users.power_w[:, None] * h2, axis=0) / scale
+            # sum_k P_k |agg_others_k + w_m g_k|^2 / scale in place, with the
+            # operations of that expression in its order, so with its bits.
+            h = w[m] * trial_gains
+            h += agg_others[:, None]
+            received = np.abs(h)
+            np.square(received, out=received)
+            received *= users.power_w[:, None]
+            snrs = received.sum(axis=0)
+            snrs /= scale
             i = int(np.argmax(snrs))
             if snrs[i] >= snr:
-                pos[m] = pts[i]
+                old, pos[m] = pos[m], pts[i]
                 gains[:, m] = trial_gains[:, i]
                 snr = float(snrs[i])
+                if pos[m] != old:
+                    # Moving away frees points and moving in blocks them. Only
+                    # segments less than two spacings from either position can
+                    # change (see _infeasible_mask), so only their masks are rebuilt.
+                    near = np.zeros(num_segments, dtype=bool)
+                    for x in (old, pos[m]):
+                        near |= (grid_lo - x < 2.0 * spacing) & (x - grid_hi < 2.0 * spacing)
+                    for j in np.flatnonzero(near).tolist():
+                        free[j] = free_points(j)
         if variant == "type2":
             res = phase_alternating_opt(build_phase_matrix(gains, users.power_w), init=w, tol=tol,
                                         max_iter=max_iter)

@@ -1,9 +1,21 @@
 """Reference forms that only the tests use."""
 
+import itertools
+
 import numpy as np
 
 from swanopt.bound import split_for_user, user_gain_bound
+from swanopt.channel import segment_gains
 from swanopt.geometry import Placement, SystemParams, User, UserSet, WaveguideLayout
+from swanopt.optimize import (
+    FULL_SA_MAX_SWEEPS,
+    _infeasible_mask,
+    _leftmost_start,
+    build_phase_matrix,
+    candidate_grid,
+    grid_gain_table,
+    phase_alternating_opt,
+)
 
 
 def watts_to_dbm(watts):
@@ -111,3 +123,83 @@ def bound_rate_per_user(users: UserSet, layout: WaveguideLayout, params: SystemP
                                partial_sum)
         total += float(users.power_w[k]) * gain
     return float(np.log2(1.0 + total / params.noise_power_w))
+
+
+def full_sa_rescan(users, layout, params, grid_points, variant="type1", tol=1e-8, max_iter=100):
+    """`optimize.full_sa_baseline` that rebuilds every spacing mask from all the other antennas on every scan."""
+    if variant not in ("type1", "type2"):
+        raise ValueError(f"unknown variant {variant!r}")
+    num_segments = layout.num_segments
+    table = grid_gain_table(users, layout, params, grid_points)
+    pos = np.array([layout.feed_x[m] + layout.segment_length_m / 2.0 for m in range(num_segments)])
+    if num_segments == 1 or np.diff(pos).min() >= params.min_spacing_m:
+        gains = np.stack([segment_gains(users, m, float(pos[m]), layout, params) for m in range(num_segments)],
+                         axis=1)
+    else:
+        pos, gains = _leftmost_start(table, params.min_spacing_m)
+    phase = np.zeros(num_segments)
+    w = np.exp(1j * phase)
+    scale = num_segments * params.noise_power_w
+
+    def snr_of(gmat, vvec):
+        h2 = np.abs(gmat @ vvec) ** 2
+        return float(np.sum(users.power_w * h2) / scale)
+
+    snr = snr_of(gains, w)
+    rate = float(np.log2(1.0 + snr))
+    for _ in range(FULL_SA_MAX_SWEEPS):
+        prev_rate = rate
+        for m, (grid, block) in enumerate(table):
+            blocked = _infeasible_mask(grid, np.delete(pos, m), params.min_spacing_m)
+            if blocked.all():
+                continue
+            pts, trial_gains = (grid[~blocked], block[:, ~blocked]) if blocked.any() else (grid, block)
+            agg_others = gains @ w - w[m] * gains[:, m]
+            h2 = np.abs(agg_others[:, None] + w[m] * trial_gains) ** 2
+            snrs = np.sum(users.power_w[:, None] * h2, axis=0) / scale
+            i = int(np.argmax(snrs))
+            if snrs[i] >= snr:
+                pos[m] = pts[i]
+                gains[:, m] = trial_gains[:, i]
+                snr = float(snrs[i])
+        if variant == "type2":
+            res = phase_alternating_opt(build_phase_matrix(gains, users.power_w), init=w, tol=tol,
+                                        max_iter=max_iter)
+            w_new = np.exp(1j * res.phases)
+            snr_new = snr_of(gains, w_new)
+            if snr_new >= snr:
+                phase = res.phases
+                w = w_new
+                snr = snr_new
+        rate = float(np.log2(1.0 + snr))
+        if rate - prev_rate <= tol * max(prev_rate, 1e-300):
+            break
+    placement = Placement(
+        active=tuple(range(num_segments)),
+        positions={m: float(pos[m]) for m in range(num_segments)},
+        phases={m: float(phase[m]) for m in range(num_segments)},
+    )
+    return placement, rate
+
+
+def exhaustive_zero_phase_rate(users, layout, params, grid_points) -> float:
+    """Best all-zero-phase sum-rate over every spacing-feasible placement on the candidate grids.
+
+    Every nonempty subset of segments and every tuple of their grid points is
+    enumerated; each subset's tuples are scored as one array.
+    """
+    grids = [candidate_grid(m, layout, grid_points) for m in range(layout.num_segments)]
+    blocks = [segment_gains(users, m, grid, layout, params) for m, grid in enumerate(grids)]
+    best = 0.0
+    for size in range(1, layout.num_segments + 1):
+        for subset in itertools.combinations(range(layout.num_segments), size):
+            # Row t of `index` is one tuple of grid indices, one per segment of the subset.
+            index = np.indices((grid_points,) * size).reshape(size, -1).T
+            positions = np.stack([grids[m][index[:, i]] for i, m in enumerate(subset)], axis=1)
+            feasible = np.ones(len(index), dtype=bool)
+            for a, b in itertools.combinations(range(size), 2):
+                feasible &= np.abs(positions[:, a] - positions[:, b]) >= params.min_spacing_m
+            h = sum(blocks[m][:, index[:, i]] for i, m in enumerate(subset)) / np.sqrt(size)
+            snr = (users.power_w[:, None] * np.abs(h) ** 2).sum(axis=0) / params.noise_power_w
+            best = max(best, float(np.log2(1.0 + snr[feasible].max())))
+    return best

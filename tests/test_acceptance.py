@@ -17,7 +17,6 @@ markers with the measured evidence in the reason string:
     pays off past the full-activation optimum (M >= ~44).
 """
 
-import itertools
 import math
 import os
 import subprocess
@@ -26,15 +25,14 @@ import time
 
 import numpy as np
 import pytest
-from oracles import element_update, empty_placement, quadratic_objective, with_segment
+from oracles import element_update, empty_placement, exhaustive_zero_phase_rate, quadratic_objective, with_segment
 
 from swanopt.bound import SegmentSplit, exact_amplitude_bound, f_exact, f_integral, sum_rate_bound, user_gain_bound
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate
-from swanopt.geometry import Placement, SystemParams, build_centered_layout, sample_users
+from swanopt.geometry import SystemParams, build_centered_layout, sample_users
 from swanopt.harness import ExperimentConfig, run_bound_sweep, run_segment_sweep, run_user_sweep, sweep_csv_text
 from swanopt.optimize import (
     build_phase_matrix,
-    candidate_grid,
     greedy_hssa_type1,
     greedy_hssa_type2,
     phase_alternating_opt,
@@ -366,20 +364,10 @@ def test_c08_phase_shifters_dominate_within_each_family(user_sweep_desk):
 
 def test_c09_greedy_close_to_exhaustive_optimum():
     layout = build_centered_layout(3, 1.0, 3.0)
-    grids = [candidate_grid(m, layout, 15) for m in range(3)]
     worst = np.inf
     for scenario in range(20):
         users = sample_users(2, 3.0, 20.0, 0.01, [777, scenario])
-        best = 0.0
-        for size in (1, 2, 3):
-            for subset in itertools.combinations(range(3), size):
-                for positions in itertools.product(*[grids[m] for m in subset]):
-                    if any(abs(a - b) < PARAMS.min_spacing_m
-                           for a, b in itertools.combinations(positions, 2)):
-                        continue
-                    pl = Placement(tuple(subset), dict(zip(subset, map(float, positions))),
-                                   {m: 0.0 for m in subset})
-                    best = max(best, placement_sum_rate(users, pl, layout, PARAMS))
+        best = exhaustive_zero_phase_rate(users, layout, PARAMS, 15)
         greedy = greedy_hssa_type1(users, layout, PARAMS, 15).best_rate
         worst = min(worst, greedy / best)
         assert greedy >= 0.9 * best

@@ -260,7 +260,7 @@ class TestSweepEngine:
             run_user_sweep(self.make_config(segment_sweep=None, user_sweep=(1, 2)))
 
     @pytest.mark.parametrize("schemes, per_segment", [
-        (("hssa-1", "hssa-2", "full-sa-1", "full-sa-2"), 3),  # one table, plus midpoints per full-SA scheme
+        (("hssa-1", "hssa-2", "full-sa-1", "full-sa-2"), 2),  # one table, plus midpoints both full-SA schemes share
         (("full-sa-1",), 2),
         (("bound-exact", "bound-integral"), 0),
     ])
@@ -282,6 +282,38 @@ class TestSweepEngine:
             assert len(calls) == 5
         monkeypatch.setattr(harness, "grid_gain_table", lambda *args: None)
         assert run_segment_sweep(cfg) == shared  # each scheme building its own table
+
+    @pytest.mark.parametrize("sweep, spacing, intervals, midpoint_intervals", [
+        ((2, 1, 4, 2), None, 5, 5),  # the intervals of M = 2 are among those of M = 4
+        ((1, 2, 1, 2), 1.5, 3, 1),  # midpoints 1 m apart are too close: M = 2 starts from the leftmost placement
+    ])
+    def test_gain_kernel_runs_once_per_distinct_interval(self, monkeypatch, sweep, spacing, intervals,
+                                                         midpoint_intervals):
+        calls = {"grid": 0, "midpoint": 0}
+        kernel = optimize.segment_gains
+
+        def counting(users, segment, antenna_x, *args):
+            calls["midpoint" if np.ndim(antenna_x) == 0 else "grid"] += 1
+            return kernel(users, segment, antenna_x, *args)
+
+        monkeypatch.setattr(optimize, "segment_gains", counting)
+        run_segment_sweep(self.make_config(schemes=("hssa-1", "hssa-2", "full-sa-1", "full-sa-2"), realizations=2,
+                                           segment_sweep=sweep, min_spacing_m=spacing))
+        assert calls == {"grid": 2 * intervals, "midpoint": 2 * midpoint_intervals}
+
+    @pytest.mark.parametrize("run, changes", [
+        (run_segment_sweep, dict(segment_sweep=(8, 2, 5, 8))),  # repeated and out-of-order points
+        (run_segment_sweep, dict(segment_sweep=(7, 3, 10, 7), segment_length_m=0.3, kappa_db_per_m=0.08)),  # no nesting
+        (run_user_sweep, dict(segment_sweep=None, num_segments=6, num_users=None, user_sweep=(2, 3, 3, 1, 3))),
+        (run_segment_sweep, dict(segment_sweep=(4, 2, 4), schemes=(
+            "bound-exact", "hssa-1", "full-sa-2", "bound-integral", "full-sa-1", "hssa-2"))),
+    ])
+    def test_cached_blocks_give_the_bytes_of_fresh_ones(self, monkeypatch, run, changes):
+        cfg = self.make_config(**{"schemes": ("hssa-1", "hssa-2", "full-sa-1", "full-sa-2"), "realizations": 3,
+                                  **changes})
+        cached = sweep_csv_text(run(cfg))
+        monkeypatch.setattr(optimize, "_cached", lambda cache, key, compute: compute())
+        assert sweep_csv_text(run(cfg)) == cached
 
     def test_warns_when_coverage_below_region(self):
         with pytest.warns(RuntimeWarning, match="narrower"):
@@ -596,6 +628,28 @@ class TestCli:
         assert cli_main(["single-run", "--config", cfg, "--output", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "hssa-2 rate at the single run is not positive" in err and "noise_dbm" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overflow, scheme", [
+        *[("power", scheme) for scheme in harness.SCHEMES],
+        ("carrier", "hssa-1"),
+        ("carrier", "bound-exact"),
+    ])
+    def test_overflowing_rate_reports_error(self, tmp_path, overflow, scheme):
+        # The SNR overflows to inf. The overflow warnings on the way are errors
+        # under pytest, so the CLI runs in a subprocess.
+        keys = {"power": "tx_power_dbm = 3000\nnoise_dbm = -3000\n",
+                "carrier": "carrier_freq_hz = 1e-142\nnoise_dbm = -150\n"}[overflow]
+        text = f"num_users = 2\nsegment_sweep = 2\ngrid_points = 20\nrealizations = 1\nschemes = {scheme}\n{keys}"
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "swanopt.cli", "segment-sweep",
+             "--config", self.write_config(tmp_path, text), "--output", str(out), "--quiet"],
+            env=dict(os.environ), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert f"{scheme} rate at M = 2 is inf" in proc.stderr
+        assert all(key in proc.stderr for key in ("noise_dbm", "tx_power_dbm", "carrier_freq_hz"))
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("ao_tol", "-1e-8"), ("ao_max_iter", "-1")])
