@@ -20,9 +20,10 @@ segment count, so a sweep runs one realization at a time over all its
 points: the realization's stream keeps its draws from point to point
 (until the user count changes) and draws further only when no kept draw
 fits, so the accepted draws and counts are those of a fresh stream at
-every point. The stream also caches its users' grid-gain blocks and full-SA
-midpoint columns by segment interval, so each distinct interval's block is
-computed once per realization and every later point and scheme reuses it.
+every point. The stream also holds the grid-gain cache of its users, which
+every optimizer scheme passes to `grid_gain_table`, so each distinct
+segment interval's block (and full-SA midpoint column) is computed once per
+realization and every later point and scheme reuses it.
 """
 
 import hashlib
@@ -45,7 +46,7 @@ from .geometry import (
     dbm_to_watts,
     sample_users,
 )
-from .optimize import GreedyTrace, full_sa_baseline, greedy_hssa_type1, greedy_hssa_type2, grid_gain_table
+from .optimize import GreedyTrace, full_sa_baseline, greedy_hssa_type1, greedy_hssa_type2
 
 TOOL_VERSION = "0.1.0"
 
@@ -91,19 +92,17 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.realizations < 1:
-            raise ValueError("realizations must be at least 1")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
-        if self.ao_tol < 0:
-            raise ValueError("ao_tol must be nonnegative")
-        if self.ao_max_iter < 0:
-            raise ValueError("ao_max_iter must be nonnegative")
+        for name, lowest in (("realizations", 1), ("master_seed", 0), ("grid_points", 2), ("ao_tol", 0),
+                             ("ao_max_iter", 0)):
+            if getattr(self, name) < lowest:
+                raise ValueError(f"{name} must be {f'at least {lowest}' if lowest else 'nonnegative'}")
         if not self.schemes:
             raise ValueError("schemes must be nonempty")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes: {unknown}; valid: {list(SCHEMES)}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(f"schemes lists a scheme more than once: {list(self.schemes)}")
         for name in ("segment_sweep", "user_sweep"):
             sweep = getattr(self, name)
             if sweep is not None:
@@ -111,16 +110,19 @@ class ExperimentConfig:
                     raise ValueError(f"{name} must be nonempty")
                 if any(v < 1 for v in sweep):
                     raise ValueError(f"{name} values must be at least 1")
-        if self.min_spacing_m is not None and self.min_spacing_m <= 0:
-            raise ValueError("min_spacing_m must be positive")
-        if self.min_spacing_wavelengths <= 0:
-            raise ValueError("min_spacing_wavelengths must be positive")
+        for name in ("min_spacing_m", "min_spacing_wavelengths", "height_m", "segment_length_m", "region_x_m",
+                     "region_y_m"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         # Finite extreme values can overflow, underflow to 0 or divide by 0
         # in the quantities derived from them.
         for key, quantity, derive in (
             ("tx_power_dbm", "the transmit power in watts", lambda: self.tx_power_w),
             ("noise_dbm", "the noise power in watts", lambda: dbm_to_watts(self.noise_dbm)),
             ("carrier_freq_hz", "the free-space gain at 1 m", lambda: self.system_params().eta),
+            # The gain kernel's phase along a segment; an overflow there gives NaN gains.
+            ("n_eff", "the guided phase over one segment",
+             lambda: 2.0 * math.pi * self.segment_length_m / self.system_params().guided_wavelength_m),
         ):
             try:
                 derived = derive()
@@ -133,16 +135,22 @@ class ExperimentConfig:
         # multiply them by the wavenumber; an overflow there gives NaN gains.
         num_segments = max((*(self.segment_sweep or ()), self.num_segments or 1))
         reach = {
-            "region_x_m": abs(self.region_x_m) / 2.0,
-            "segment_length_m": num_segments * abs(self.segment_length_m) / 2.0,
-            "region_y_m": abs(self.region_y_m) / 2.0,
-            "height_m": abs(self.height_m),
+            "region_x_m": self.region_x_m / 2.0,
+            "segment_length_m": num_segments * self.segment_length_m / 2.0,
+            "region_y_m": self.region_y_m / 2.0,
+            "height_m": self.height_m,
         }
         farthest = math.hypot(reach["region_x_m"] + reach["segment_length_m"], reach["region_y_m"], reach["height_m"])
         if not (math.isfinite(farthest * farthest) and math.isfinite(self.system_params().wavenumber * farthest)):
             key = max(reach, key=reach.get)
             raise ValueError(f"{key} = {getattr(self, key):.6g} is out of range: the largest user-to-antenna "
                              f"distance, {farthest:.6g} m, squared or times the wavenumber is not a finite double")
+        if not math.isfinite(self.kappa_db_per_m * self.segment_length_m):
+            raise ValueError(f"kappa_db_per_m = {self.kappa_db_per_m:.6g} is out of range: the attenuation over "
+                             "one segment in dB is not a finite double")
+        # A user's squared distance to the waveguide axis is at least this; 0 divides by zero.
+        if not self.height_m**2 > 0:
+            raise ValueError(f"height_m = {self.height_m:.6g} is out of range: its square underflows to 0")
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -340,27 +348,26 @@ class _UserStream:
             j += 1
 
 
-def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, table=None, cache=None):
+def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, cache=None):
     """Call one scheme with the config's settings and return its own result.
 
     Bounds return a rate, the greedy searches a GreedyTrace and the
-    full-activation baselines a (placement, rate) pair. The optimizers take
-    `table`, the grid-gain table of `users` on `layout`, or build their own
-    when it is None; the baselines keep their midpoint columns in `cache`.
+    full-activation baselines a (placement, rate) pair. The optimizers read
+    and fill `cache`, the grid-gain cache of `users` (see `grid_gain_table`).
     """
     if scheme == "bound-exact":
         return exact_amplitude_bound(users, layout, params)
     if scheme == "bound-integral":
         return sum_rate_bound(users, layout, params)
     if scheme == "hssa-1":
-        return greedy_hssa_type1(users, layout, params, config.grid_points, table=table)
+        return greedy_hssa_type1(users, layout, params, config.grid_points, cache=cache)
     if scheme == "hssa-2":
         return greedy_hssa_type2(users, layout, params, config.grid_points,
-                                 tol=config.ao_tol, max_iter=config.ao_max_iter, table=table)
+                                 tol=config.ao_tol, max_iter=config.ao_max_iter, cache=cache)
     if scheme in ("full-sa-1", "full-sa-2"):
         variant = "type1" if scheme == "full-sa-1" else "type2"
         return full_sa_baseline(users, layout, params, config.grid_points, variant,
-                                tol=config.ao_tol, max_iter=config.ao_max_iter, table=table, cache=cache)
+                                tol=config.ao_tol, max_iter=config.ao_max_iter, cache=cache)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -396,18 +403,13 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     """Run each realization over all (value, num_segments, num_users) points, one user stream at a time."""
     params = config.system_params()
     needs_bound_users = any(s in _BOUND_SCHEMES for s in config.schemes)
-    needs_table = any(s not in _BOUND_SCHEMES for s in config.schemes)
     layouts = [config.layout_for(num_segments) for _, num_segments, _ in points]
-    for (value, _, _), layout in zip(points, layouts):
-        coverage = layout.extent[1] - layout.extent[0]
-        if needs_bound_users and coverage < config.region_x_m * (1 - 1e-12):
-            warnings.warn(
-                f"waveguide coverage {coverage:.6g} m is narrower than the "
-                f"{config.region_x_m:.6g} m user region; bound schemes resample "
-                "out-of-extent realizations",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    narrow = [value for (value, _, _), layout in zip(points, layouts)
+              if layout.extent[1] - layout.extent[0] < config.region_x_m * (1 - 1e-12)]
+    if needs_bound_users and narrow:
+        warnings.warn(f"waveguide coverage is narrower than the {config.region_x_m:.6g} m user region at "
+                      f"{sweep_var} = {', '.join(map(str, dict.fromkeys(narrow)))}; bound schemes resample "
+                      "out-of-extent realizations", RuntimeWarning, stacklevel=2)
     rates = np.empty((len(points), len(config.schemes), config.realizations))
     redraws = np.zeros((len(points), config.realizations), dtype=int)
     for r in range(config.realizations):
@@ -419,13 +421,9 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
             bound_users = stream.users
             if needs_bound_users:
                 bound_users, redraws[p, r] = stream.inside(*layout.extent)
-            # Every optimizer scheme searches the same grid gains of these users.
-            table = None
-            if needs_table:
-                table = grid_gain_table(stream.users, layout, params, config.grid_points, stream.gains)
             for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
-                rate = _result_rate(_run_scheme(scheme, chosen, layout, params, config, table, stream.gains))
+                rate = _result_rate(_run_scheme(scheme, chosen, layout, params, config, stream.gains))
                 _require_positive(rate, scheme, f"{sweep_var} = {value}", config)
                 rates[p, i, r] = rate
     rows = []
@@ -476,8 +474,8 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
     params = config.system_params()
     layout = config.layout_for(config.num_segments)
     users = _UserStream(config, config.num_users, 0).users
-    table = grid_gain_table(users, layout, params, config.grid_points)
-    traces = {scheme: _run_scheme(scheme, users, layout, params, config, table) for scheme in greedy}
+    cache: dict = {}  # both greedy schemes search the same grid gains
+    traces = {scheme: _run_scheme(scheme, users, layout, params, config, cache) for scheme in greedy}
     for scheme, trace in traces.items():
         _require_positive(trace.best_rate, scheme, "the single run", config)
     return traces

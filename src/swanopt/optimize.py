@@ -17,21 +17,18 @@ phase matrices whose problems leave the stack as they converge, so every
 problem gets the bits it gets alone. The phase-shifter search grid-searches
 every candidate first and then runs AO on all of a level's candidates at
 once; the baseline runs it on a stack of one, warm-started, through
-`phase_alternating_opt`. Grid gains are computed once per scheme call, once
-for all schemes when the caller passes the table, or once per distinct
-segment interval over many layouts of the same users when the caller passes
-a cache (see `grid_gain_table`).
+`phase_alternating_opt`. Every optimizer reads its grid gains through
+`grid_gain_table`: computed once per call, or once per distinct segment
+interval over all the calls and layouts that share the caller's `cache`.
 
-Both greedy searches keep one spacing mask per segment across levels and,
-after each commit, update only the segments less than two spacings from the
-new antenna. The baseline keeps one per segment across its sweeps and, after
-each move, rebuilds those of the segments less than two spacings from the
-old or the new position. Only the switch-only search prunes: a segment's
-largest gain amplitude per user over its whole grid caps its rate at every
-feasible grid point (triangle inequality), the cap is widened by
-BOUND_MARGIN for rounding, and segments are grid-searched in descending cap
-order until the next cap's rate is below the incumbent's, which returns the
-exhaustive search's winner. The phase-shifter search grid-searches every
+All three searches keep one spacing mask per segment (`_free_points`) and,
+after an antenna is placed or moved, rebuild the masks of the segments less
+than two spacings from its old or new position (`_segments_near`). Only the
+switch-only search prunes: a segment's largest gain amplitude per user over
+its whole grid caps its rate at every feasible grid point (triangle
+inequality), the cap is widened by BOUND_MARGIN for rounding, and segments
+are grid-searched in descending cap order until the next cap's rate is
+below the incumbent's, which returns the exhaustive search's winner. The phase-shifter search grid-searches every
 segment, because every candidate enters its AO stack.
 
 Determinism: ties between candidate segments resolve to the smallest segment
@@ -129,6 +126,21 @@ def _infeasible_mask(grid: np.ndarray, positions: np.ndarray, min_spacing_m: flo
     return (np.abs(grid[:, None] - near[None, :]) < min_spacing_m).any(axis=1)
 
 
+def _free_points(grid, positions, min_spacing_m):
+    """None when every grid point is clear of `positions`, else the boolean mask of the clear points, or False."""
+    blocked = _infeasible_mask(grid, positions, min_spacing_m)
+    return None if not blocked.any() else False if blocked.all() else ~blocked
+
+
+def _segments_near(grid_ends, xs, min_spacing_m):
+    """Segments whose grids (first and last points, a (2, M) array) are less than two spacings from some x."""
+    lo, hi = grid_ends
+    near = np.zeros(lo.size, dtype=bool)
+    for x in xs:
+        near |= (lo - x < 2.0 * min_spacing_m) & (x - hi < 2.0 * min_spacing_m)
+    return np.flatnonzero(near).tolist()
+
+
 def _cached(cache, key, compute):
     """`compute()`, kept in `cache` under `key` when a cache dict is given."""
     if cache is None:
@@ -142,16 +154,15 @@ def grid_gain_table(users, layout, params, grid_points, cache=None) -> list[tupl
     """Per segment, its candidate grid and the (K, Q) gains at every grid point.
 
     The gains do not depend on the other antennas, so one table serves every
-    level of a greedy run, every sweep of the baseline and every scheme run
-    on the same users and layout; it costs M * K * Q * 16 bytes. Slicing a
-    block gives the bits `segment_gains` returns on the same subset, because
-    the kernel is elementwise.
+    level of a greedy run and every sweep of the baseline; it costs
+    M * K * Q * 16 bytes. Slicing a block gives the bits `segment_gains`
+    returns on the same subset, because the kernel is elementwise.
 
-    A segment's entry depends on the layout only through its interval, so a
-    `cache` dict shared by layouts of one user set, one set of params, one
-    height, one segment length and one `grid_points` keeps each entry under
-    `layout.segment_interval(m)` and hands it to every layout with that
-    interval.
+    A segment's entry depends on the layout only through its interval and
+    height, so a `cache` dict shared by the calls on one user set, one set
+    of params, one height and one `grid_points` keeps each entry under
+    `layout.segment_interval(m)` and hands it to every call and layout with
+    that interval.
     """
     def entry(m):
         grid = candidate_grid(m, layout, grid_points)
@@ -333,11 +344,10 @@ def _switch_only_level(table, free, searchable, peak, aggregate, n_active, users
     return best, searches
 
 
-def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
+def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
     # Committed state in activation order: segments, positions, phases and
     # the (K, S) gain matrix whose columns are reused by every later level.
-    if table is None:
-        table = grid_gain_table(users, layout, params, grid_points)
+    table = grid_gain_table(users, layout, params, grid_points, cache)
     spacing = params.min_spacing_m
     active: list[int] = []
     positions: list[float] = []
@@ -345,12 +355,10 @@ def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: floa
     aggregate = np.zeros(users.num_users, dtype=complex)
     levels: list[TraceLevel] = []
     ao_runs = ao_sweeps = ao_cap_hits = grid_searches = 0
-    # Per segment: None while every grid point is clear of the committed
-    # antennas, else the boolean mask of the clear points, or False once none
-    # is (a committed segment takes no second antenna).
+    # Per segment, its `_free_points` mask of the committed antennas; False
+    # also once committed (a segment takes no second antenna).
     free: list = [None] * len(table)
-    grid_lo = np.array([grid[0] for grid, _ in table])
-    grid_hi = np.array([grid[-1] for grid, _ in table])
+    grid_ends = np.array([(grid[0], grid[-1]) for grid, _ in table]).T
     if not type2:
         # Largest gain amplitude of each (segment, user) over the whole grid.
         peak = np.stack([np.abs(block).max(axis=1) for _, block in table])
@@ -380,17 +388,9 @@ def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: floa
         active.append(m)
         positions.append(pos)
         free[m] = False
-        # Only grid points less than the spacing from the new antenna become
-        # blocked, and only segments less than two spacings away can hold
-        # one (see _infeasible_mask); the comparison is the all-pairs one.
-        near = (grid_lo - pos < 2.0 * spacing) & (pos - grid_hi < 2.0 * spacing)
-        for j in np.flatnonzero(near).tolist():
-            if free[j] is False:
-                continue
-            hit = np.abs(table[j][0] - pos) < spacing
-            if hit.any():
-                clear = ~hit if free[j] is None else free[j] & ~hit
-                free[j] = clear if clear.any() else False
+        for j in _segments_near(grid_ends, (pos,), spacing):
+            if free[j] is not False:  # antennas only come, so a blocked segment stays blocked
+                free[j] = _free_points(table[j][0], np.array(positions), spacing)
         gains = np.concatenate([gains, column[:, None]], axis=1)
         aggregate = gains @ np.exp(1j * phases)
         placement = Placement(active=tuple(active), positions=dict(zip(active, positions)),
@@ -400,30 +400,29 @@ def _greedy(users, layout, params, grid_points, table, *, type2: bool, tol: floa
                        grid_searches=grid_searches)
 
 
-def greedy_hssa_type1(users, layout, params, grid_points, table=None) -> GreedyTrace:
+def greedy_hssa_type1(users, layout, params, grid_points, cache=None) -> GreedyTrace:
     """Greedy segment activation and placement for the switch-only architecture.
 
     At every level the inactive segments are trial-placed with a 1-d grid
     search, skipping those whose rate cap cannot beat the best found; the
     best segment is committed, and the level is stored. The best stored
-    level dominates full activation by construction. `table` is
-    `grid_gain_table(users, layout, params, grid_points)`, built here when
-    omitted.
+    level dominates full activation by construction. The grid gains come
+    from `grid_gain_table(users, layout, params, grid_points, cache)`.
     """
-    return _greedy(users, layout, params, grid_points, table, type2=False, tol=0.0, max_iter=0)
+    return _greedy(users, layout, params, grid_points, cache, type2=False, tol=0.0, max_iter=0)
 
 
 def greedy_hssa_type2(users, layout, params, grid_points, tol: float = 1e-8, max_iter: int = 100,
-                      table=None) -> GreedyTrace:
+                      cache=None) -> GreedyTrace:
     """Greedy activation and placement with per-segment phase shifters.
 
     Like the switch-only search, but without pruning: every inactive segment
     with a feasible grid point is a candidate and is re-scored after a full
     phase alternating optimization (all-zero initialization). The committed
-    snapshot carries the converged phases. `table` is as for
+    snapshot carries the converged phases. `cache` is as for
     `greedy_hssa_type1`.
     """
-    return _greedy(users, layout, params, grid_points, table, type2=True, tol=tol, max_iter=max_iter)
+    return _greedy(users, layout, params, grid_points, cache, type2=True, tol=tol, max_iter=max_iter)
 
 
 def _leftmost_start(table, min_spacing_m):
@@ -446,7 +445,7 @@ def _leftmost_start(table, min_spacing_m):
 
 
 def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
-                     tol: float = 1e-8, max_iter: int = 100, table=None, cache=None):
+                     tol: float = 1e-8, max_iter: int = 100, cache=None):
     """Coordinate-descent baseline with all segments activated.
 
     Antennas start at their segment midpoints, or, when the spacing is
@@ -459,9 +458,8 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
     current phases so the rate stays nondecreasing, with the AO stop rule
     `tol` and `max_iter` of `phase_alternating_opt`. Stops when the relative
     rate improvement of a sweep falls below `tol` or after
-    FULL_SA_MAX_SWEEPS sweeps. `table` is as for `greedy_hssa_type1`, and a
-    `cache` as for `grid_gain_table` also keeps the midpoint gain columns,
-    under ("midpoint", *interval).
+    FULL_SA_MAX_SWEEPS sweeps. `cache` is as for `grid_gain_table`, and
+    also keeps the midpoint gain columns, under ("midpoint", *interval).
 
     Returns (placement, rate).
     """
@@ -469,8 +467,7 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
         raise ValueError(f"unknown variant {variant!r}")
     num_segments = layout.num_segments
     spacing = params.min_spacing_m
-    if table is None:
-        table = grid_gain_table(users, layout, params, grid_points, cache)
+    table = grid_gain_table(users, layout, params, grid_points, cache)
     pos = np.array([layout.feed_x[m] + layout.segment_length_m / 2.0 for m in range(num_segments)])
     if num_segments == 1 or np.diff(pos).min() >= spacing:
         gains = np.stack([_cached(cache, ("midpoint", *layout.segment_interval(m)),
@@ -486,15 +483,9 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
         h2 = np.abs(gmat @ vvec) ** 2
         return float(np.sum(users.power_w * h2) / scale)
 
-    def free_points(m):
-        # As in _greedy: None while every grid point is clear of the other
-        # antennas, else the boolean mask of the clear points, or False.
-        blocked = _infeasible_mask(table[m][0], np.delete(pos, m), spacing)
-        return None if not blocked.any() else False if blocked.all() else ~blocked
-
-    free = [free_points(m) for m in range(num_segments)]
-    grid_lo = np.array([grid[0] for grid, _ in table])
-    grid_hi = np.array([grid[-1] for grid, _ in table])
+    # Each segment's mask of the other antennas.
+    free = [_free_points(grid, np.delete(pos, m), spacing) for m, (grid, _) in enumerate(table)]
+    grid_ends = np.array([(grid[0], grid[-1]) for grid, _ in table]).T
     snr = snr_of(gains, w)
     rate = float(np.log2(1.0 + snr))
     for _ in range(FULL_SA_MAX_SWEEPS):
@@ -518,15 +509,9 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
                 old, pos[m] = pos[m], pts[i]
                 gains[:, m] = trial_gains[:, i]
                 snr = float(snrs[i])
-                if pos[m] != old:
-                    # Moving away frees points and moving in blocks them. Only
-                    # segments less than two spacings from either position can
-                    # change (see _infeasible_mask), so only their masks are rebuilt.
-                    near = np.zeros(num_segments, dtype=bool)
-                    for x in (old, pos[m]):
-                        near |= (grid_lo - x < 2.0 * spacing) & (x - grid_hi < 2.0 * spacing)
-                    for j in np.flatnonzero(near).tolist():
-                        free[j] = free_points(j)
+                if pos[m] != old:  # moving away frees points, so a mask can grow
+                    for j in _segments_near(grid_ends, (old, pos[m]), spacing):
+                        free[j] = _free_points(table[j][0], np.delete(pos, j), spacing)
         if variant == "type2":
             res = phase_alternating_opt(build_phase_matrix(gains, users.power_w), init=w, tol=tol,
                                         max_iter=max_iter)

@@ -1,16 +1,18 @@
 """Config ingestion, sweep engine, CSV persistence, CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swanopt.harness as harness
@@ -96,6 +98,11 @@ class TestConfigParsing:
         "segment_sweep =\n",
         "user_sweep = 0, 2\n",
         "grid_points = 1\n",
+        "schemes = hssa-1, hssa-1\n",
+        "master_seed = -1\n",
+        "region_y_m = 0\n",
+        "height_m = -3\n",
+        "kappa_db_per_m = 1e308\nsegment_length_m = 2\n",  # the attenuation over a segment overflows
     ])
     def test_invalid_values_rejected(self, text):
         with pytest.raises(ValueError):
@@ -280,7 +287,7 @@ class TestSweepEngine:
             calls.clear()
             run_single(replace(cfg, num_segments=5))  # both greedy schemes share one table
             assert len(calls) == 5
-        monkeypatch.setattr(harness, "grid_gain_table", lambda *args: None)
+        monkeypatch.setattr(optimize, "_cached", lambda cache, key, compute: compute())
         assert run_segment_sweep(cfg) == shared  # each scheme building its own table
 
     @pytest.mark.parametrize("sweep, spacing, intervals, midpoint_intervals", [
@@ -318,6 +325,11 @@ class TestSweepEngine:
     def test_warns_when_coverage_below_region(self):
         with pytest.warns(RuntimeWarning, match="narrower"):
             run_segment_sweep(self.make_config(schemes=("bound-integral",), segment_sweep=(2,)))
+
+    def test_one_coverage_warning_lists_the_narrow_points(self):
+        with pytest.warns(RuntimeWarning, match="narrower") as record:
+            run_segment_sweep(self.make_config(schemes=("bound-integral",), segment_sweep=(2, 30, 3, 2)))
+        assert len(record) == 1 and "at M = 2, 3;" in str(record[0].message)
 
     def test_no_warning_for_optimizers_on_a_narrow_waveguide(self):
         # Only the bound schemes resample, so an optimizer-only sweep has nothing to warn about.
@@ -571,6 +583,18 @@ class TestCli:
         assert cli_main(["bound-sweep", "--config", cfg]) == 2
         assert "output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, flags, key", [
+        ("master_seed = -1\n", [], "master_seed"),
+        ("", ["--seed", "-1"], "master_seed"),
+        ("schemes = hssa-1, bound-exact, hssa-1\n", [], "schemes"),
+    ])
+    def test_bad_seed_or_repeated_scheme_reports_error(self, tmp_path, capsys, text, flags, key):
+        cfg = self.write_config(tmp_path, "num_users = 1\nsegment_sweep = 2\ngrid_points = 20\n" + text)
+        out = tmp_path / "run.csv"
+        assert cli_main(["segment-sweep", "--config", cfg, "--output", str(out), "--quiet", *flags]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err and not out.exists()
+
     @pytest.mark.parametrize("key, value", [("height_m", "nan"), ("noise_dbm", "inf")])
     def test_non_finite_value_reports_error(self, tmp_path, capsys, key, value):
         text = f"num_users = 1\nnum_segments = 2\ngrid_points = 20\nschemes = hssa-1\n{key} = {value}\n"
@@ -591,6 +615,8 @@ class TestCli:
         ("region_x_m", "1e300"),
         ("region_y_m", "1e300"),  # NaN gains from the phase of an infinite distance
         ("segment_length_m", "1e300"),
+        ("n_eff", "1e306"),  # overflow in the guided phase over a segment
+        ("height_m", "1e-170"),  # a squared axis distance of 0
     ])
     def test_out_of_range_value_reports_error(self, tmp_path, capsys, key, value):
         text = f"num_users = 1\nnum_segments = 2\ngrid_points = 20\nschemes = hssa-1\n{key} = {value}\n"
@@ -674,3 +700,77 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "redraws" in proc.stderr
+
+
+def log_scale():
+    """0, or a double of either sign whose magnitude is log-uniform over the finite range."""
+    magnitude = st.floats(-323.0, 308.25).map(lambda exponent: 10.0 ** exponent)
+    return st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+
+
+@st.composite
+def tiny_configs(draw):
+    """Config values of a tiny segment or user sweep of all six schemes; each float key default or log-scale."""
+    values = {"grid_points": draw(st.integers(2, 8)), "realizations": 1, "schemes": harness.SCHEMES,
+              "ao_max_iter": draw(st.integers(0, 100)), "master_seed": draw(st.integers(0, 2**32 - 1))}
+    if draw(st.booleans()):
+        values.update(num_users=draw(st.integers(1, 3)),
+                      segment_sweep=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))))
+    else:
+        values.update(num_segments=draw(st.integers(1, 4)),
+                      user_sweep=tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
+    spacing_key = draw(st.sampled_from(["min_spacing_m", "min_spacing_wavelengths"]))  # not both
+    for key in (k for k, parse in harness._PARSERS.items() if parse is float):
+        if key.startswith("min_spacing") and key != spacing_key:
+            continue
+        if draw(st.integers(0, 2)) == 0:  # a third of the keys, so that some configs run
+            values[key] = draw(log_scale())
+    return values
+
+
+def sweep_outcome(values):
+    """The CSV text of the sweep a config describes, or None when it raises ValueError."""
+    try:
+        config = ExperimentConfig.from_dict(values)
+        result = (run_segment_sweep if config.segment_sweep else run_user_sweep)(config)
+    except ValueError:
+        return None
+    points = config.segment_sweep or config.user_sweep
+    assert len(result.rows) == len(points) * len(harness.SCHEMES)
+    for row in result.rows:
+        assert math.isfinite(row.mean_rate) and row.mean_rate > 0 and row.std_rate == 0.0
+    return sweep_csv_text(result)
+
+
+TINY_VALID = {"grid_points": 5, "realizations": 1, "schemes": harness.SCHEMES, "num_users": 2,
+              "segment_sweep": (3, 1), "region_x_m": 2.0, "n_eff": 1e300, "kappa_db_per_m": 1e300}
+ONE_USER = {"grid_points": 2, "realizations": 1, "schemes": harness.SCHEMES, "num_segments": 1, "user_sweep": (1,)}
+
+
+class TestAcceptedConfigsFinish:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    # Found by search: a user on the waveguide axis (a squared distance of 0)
+    # and a guided phase that overflows to NaN gains.
+    @example({**ONE_USER, "height_m": 1e-162, "region_y_m": 1e-162})
+    @example({**ONE_USER, "n_eff": 1e306})
+    @given(tiny_configs())
+    def test_finite_positive_rows_or_value_error(self, values):
+        sweep_outcome(values)
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @example(TINY_VALID)
+    @given(tiny_configs())
+    def test_cli_exits_0_or_2(self, values):
+        expected = sweep_outcome(values)
+        text = "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else repr(value)}\n"
+                       for key, value in values.items())
+        command = "segment-sweep" if "segment_sweep" in values else "user-sweep"
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.txt", Path(tmp) / "x.csv"
+            cfg.write_text(text)
+            proc = subprocess.run([sys.executable, "-m", "swanopt.cli", command, "--config", str(cfg),
+                                   "--output", str(out), "--quiet"],
+                                  env=dict(os.environ), capture_output=True, text=True, timeout=60)
+            assert proc.returncode == (2 if expected is None else 0), proc.stderr
+            if expected is not None:
+                assert out.read_text() == expected

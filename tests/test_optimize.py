@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains
-from swanopt.geometry import Placement, SystemParams, UserSet, build_centered_layout, sample_users
+from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, build_centered_layout, sample_users
 from swanopt.optimize import (
     GreedyTrace,
     _best_grid_point,
@@ -638,7 +638,8 @@ class TestBoundPruning:
         far = np.zeros(2) if a is None else np.array(a)
         blocks = [np.stack([c, c], axis=1), np.stack([c, strong], axis=1), np.stack([far, far], axis=1)]
         table = [(candidate_grid(m, layout, 2), block.astype(complex)) for m, block in enumerate(blocks)]
-        trace = greedy_hssa_type1(users, layout, params, 2, table=table)
+        cache = {layout.segment_interval(m): entry for m, entry in enumerate(table)}
+        trace = greedy_hssa_type1(users, layout, params, 2, cache=cache)
         assert [lvl.segment for lvl in trace.levels[:len(committed)]] == committed
         tied = trace.levels[len(committed)]
         assert tied.segment == 0 and tied.position == table[0][0][0]
@@ -695,13 +696,21 @@ class TestSharedTable:
     @given(greedy_scenarios(min_segments=1, max_grid=30))
     def test_results_do_not_depend_on_who_builds_the_table(self, scenario):
         users, layout, params, q = scenario
-        table = grid_gain_table(users, layout, params, q)
-        assert greedy_hssa_type1(users, layout, params, q, table=table) == greedy_hssa_type1(users, layout, params, q)
-        assert (greedy_hssa_type2(users, layout, params, q, table=table)
-                == greedy_hssa_type2(users, layout, params, q))
-        for variant in ("type1", "type2"):
-            shared = outcome(full_sa_baseline, users, layout, params, q, variant, table=table)
-            assert shared == outcome(full_sa_baseline, users, layout, params, q, variant)
+        seg_len, height = layout.segment_length_m, layout.height_m
+        # One cache filled by the scenario's layout, a layout it nests in
+        # (one more segment) and a layout of 0.3 m segments.
+        nesting = WaveguideLayout(seg_len, (*layout.feed_x, layout.feed_x[-1] + seg_len), height)
+        layouts = (layout, nesting, build_centered_layout(layout.num_segments, 0.3, height))
+        cache = {}
+        for lay in layouts:
+            assert greedy_hssa_type1(users, lay, params, q, cache=cache) == greedy_hssa_type1(users, lay, params, q)
+            assert (greedy_hssa_type2(users, lay, params, q, cache=cache)
+                    == greedy_hssa_type2(users, lay, params, q))
+            for variant in ("type1", "type2"):
+                shared = outcome(full_sa_baseline, users, lay, params, q, variant, cache=cache)
+                assert shared == outcome(full_sa_baseline, users, lay, params, q, variant)
+        intervals = {lay.segment_interval(m) for lay in layouts for m in range(lay.num_segments)}
+        assert {key for key in cache if key[0] != "midpoint"} == intervals  # one grid entry per distinct interval
 
 
 class TestKeptMaskDescent:
