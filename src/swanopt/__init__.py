@@ -4,7 +4,6 @@ sum-rate bounds, and greedy segment-activation / placement / phase optimizers.
 
 from .bound import (
     ProjectionOutOfRangeError,
-    SegmentSplit,
     exact_amplitude_bound,
     f_exact,
     f_integral,
@@ -22,7 +21,6 @@ from .geometry import (
     SPEED_OF_LIGHT_M_S,
     Placement,
     SystemParams,
-    User,
     UserSet,
     WaveguideLayout,
     build_centered_layout,

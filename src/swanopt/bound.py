@@ -14,59 +14,32 @@ Pure functions throughout; safe for arbitrary parallel invocation.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SystemParams, User, UserSet, WaveguideLayout
+from .geometry import SystemParams, UserSet, WaveguideLayout
 
 
 class ProjectionOutOfRangeError(ValueError):
     """A user's projection falls outside the waveguide extent."""
 
 
-@dataclass(frozen=True)
-class SegmentSplit:
-    """How a user's projection divides the layout.
+def split_for_user(x: float, layout: WaveguideLayout) -> tuple[int, float, float]:
+    """Locate the segment containing a user projection x and its edge offsets.
 
-    `m_k` is the 0-based index of the segment containing the projection,
-    `M_minus`/`M_plus` count the segments strictly to its left/right, and
-    `delta_minus`/`delta_plus` are the distances [m] from the projection to
-    its segment's left and right edges (they sum to the segment length).
+    Returns (m_k, delta_minus, delta_plus): the 0-based index of the segment
+    containing x (so m_k segments lie to its left and M - 1 - m_k to its
+    right) and the distances [m] from x to that segment's left and right
+    edges, which sum to the segment length. Ties at shared segment
+    boundaries resolve to the lower segment index. Raises
+    ProjectionOutOfRangeError when x is outside the waveguide extent.
     """
-
-    m_k: int
-    M_minus: int
-    M_plus: int
-    delta_minus: float
-    delta_plus: float
-
-    def __post_init__(self):
-        if self.M_minus < 0 or self.M_plus < 0:
-            raise ValueError("side counts must be nonnegative")
-        if self.delta_minus < 0 or self.delta_plus < 0:
-            raise ValueError("edge distances must be nonnegative")
-
-
-def _split(x: float, layout: WaveguideLayout) -> tuple[int, float, float]:
-    """(m_k, delta_minus, delta_plus) of a projection x, as in `SegmentSplit`."""
     lo, hi = layout.extent
     if not lo <= x <= hi:
         raise ProjectionOutOfRangeError(f"user projection x={x} outside waveguide extent [{lo}, {hi}]")
     ends = layout.segment_ends
     m_k = bisect_left(ends, x)
     return m_k, x - layout.feed_x[m_k], ends[m_k] - x
-
-
-def split_for_user(user: User, layout: WaveguideLayout) -> SegmentSplit:
-    """Locate the segment containing the user projection and the edge offsets.
-
-    Ties at shared segment boundaries resolve to the lower segment index.
-    Raises ProjectionOutOfRangeError when the projection is outside the
-    waveguide extent.
-    """
-    m_k, delta_minus, delta_plus = _split(user.x, layout)
-    return SegmentSplit(m_k, m_k, layout.num_segments - 1 - m_k, delta_minus, delta_plus)
 
 
 def f_exact(delta: float, n: int, length: float, d_sq: float) -> float:
@@ -118,19 +91,6 @@ def _check_f_args(delta, n, length, d_sq):
         raise ValueError("squared axis distance must be positive")
 
 
-def _gain(delta_minus, n_minus, delta_plus, n_plus, length, d_sq, eta, partial_sum) -> float:
-    """(eta / S) * [1/sqrt(d_sq) + F(delta_minus, n_minus) + F(delta_plus, n_plus)]^2.
-
-    S = n_minus + n_plus + 1 counts the segments, and F is `partial_sum`.
-    """
-    bracket = (
-        1.0 / math.sqrt(d_sq)
-        + partial_sum(delta_minus, n_minus, length, d_sq)
-        + partial_sum(delta_plus, n_plus, length, d_sq)
-    )
-    return eta / (n_minus + n_plus + 1) * bracket * bracket
-
-
 def _nearest(n, delta_minus, delta_plus, n_minus, n_plus) -> tuple[int, int]:
     """How many of the n segments nearest a projection lie left and right of its own.
 
@@ -141,17 +101,21 @@ def _nearest(n, delta_minus, delta_plus, n_minus, n_plus) -> tuple[int, int]:
     return left, n - left
 
 
-def user_gain_bound(split: SegmentSplit, num_segments: int, length: float, d_sq: float, eta: float,
-                    partial_sum=f_integral) -> float:
+def user_gain_bound(delta_minus: float, n_minus: int, delta_plus: float, n_plus: int, length: float, d_sq: float,
+                    eta: float, partial_sum=f_integral) -> float:
     """Upper bound on a user's effective channel gain |h|^2 under ideal combining.
 
-    (eta / M) * [1/sqrt(d_sq) + F(delta_minus, M_minus) + F(delta_plus, M_plus)]^2
-    with the partial sums F = `partial_sum`: `f_integral` or `f_exact`.
-    Reduces to the single-antenna projection gain eta/d_sq at M = 1.
+    (eta / S) * [1/sqrt(d_sq) + F(delta_minus, n_minus) + F(delta_plus, n_plus)]^2
+    over S = n_minus + n_plus + 1 segments, with the partial sums
+    F = `partial_sum`: `f_integral` or `f_exact`. Reduces to the
+    single-antenna projection gain eta/d_sq at S = 1.
     """
-    if num_segments != split.M_minus + split.M_plus + 1:
-        raise ValueError("num_segments inconsistent with the split counts")
-    return _gain(split.delta_minus, split.M_minus, split.delta_plus, split.M_plus, length, d_sq, eta, partial_sum)
+    bracket = (
+        1.0 / math.sqrt(d_sq)
+        + partial_sum(delta_minus, n_minus, length, d_sq)
+        + partial_sum(delta_plus, n_plus, length, d_sq)
+    )
+    return eta / (n_minus + n_plus + 1) * bracket * bracket
 
 
 def _bound_rate(users: UserSet, layout: WaveguideLayout, params: SystemParams, partial_sum, level) -> float:
@@ -163,10 +127,11 @@ def _bound_rate(users: UserSet, layout: WaveguideLayout, params: SystemParams, p
     h_sq = layout.height_m**2
     total = 0.0
     for x, y, power in zip(users.x.tolist(), users.y.tolist(), users.power_w.tolist()):
-        m_k, delta_minus, delta_plus = _split(x, layout)
+        m_k, delta_minus, delta_plus = split_for_user(x, layout)
         n_minus, n_plus = _nearest(level - 1, delta_minus, delta_plus, m_k, num_segments - 1 - m_k)
         # y * y, as NumPy squares an array
-        total += power * _gain(delta_minus, n_minus, delta_plus, n_plus, length, h_sq + y * y, eta, partial_sum)
+        total += power * user_gain_bound(delta_minus, n_minus, delta_plus, n_plus, length, h_sq + y * y, eta,
+                                         partial_sum)
     return float(np.log2(1.0 + total / params.noise_power_w))
 
 

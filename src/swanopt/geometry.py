@@ -124,15 +124,6 @@ class WaveguideLayout:
 
 
 @dataclass(frozen=True)
-class User:
-    """One uplink user: ground position (z = 0) and transmit power."""
-
-    x: float
-    y: float
-    power_w: float
-
-
-@dataclass(frozen=True)
 class UserSet:
     """Positions and transmit powers of the K uplink users.
 
@@ -164,12 +155,6 @@ class UserSet:
     @property
     def num_users(self) -> int:
         return self.x.size
-
-    def __len__(self) -> int:
-        return self.x.size
-
-    def __getitem__(self, k: int) -> User:
-        return User(float(self.x[k]), float(self.y[k]), float(self.power_w[k]))
 
     def dist_sq_to_axis(self, height_m: float) -> np.ndarray:
         """Squared distance of each user to the waveguide axis, d^2 + y^2 [m^2]."""

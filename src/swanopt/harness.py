@@ -384,13 +384,14 @@ def _require_positive(rate: float, scheme: str, where: str, config: ExperimentCo
 
     log2(1 + snr) rounds to 0 once the SNR is below about 1e-16, so a zero
     rate means the noise floor swamps the transmit power; a rate that is not
-    finite means the SNR, or the received power, overflows a double.
+    finite means the SNR, or the received power, overflows a double (or a
+    user is too near the waveguide axis, which is at least height_m away).
     """
     if not math.isfinite(rate):
         raise ValueError(
             f"{scheme} rate at {where} is {rate} (SNR overflows double precision); raise noise_dbm "
-            f"({config.noise_dbm:.6g}), lower tx_power_dbm ({config.tx_power_dbm:.6g}) or raise "
-            f"carrier_freq_hz ({config.carrier_freq_hz:.6g})"
+            f"({config.noise_dbm:.6g}), lower tx_power_dbm ({config.tx_power_dbm:.6g}), raise "
+            f"carrier_freq_hz ({config.carrier_freq_hz:.6g}) or raise height_m ({config.height_m:.6g})"
         )
     if not rate > 0:
         raise ValueError(
@@ -399,6 +400,18 @@ def _require_positive(rate: float, scheme: str, where: str, config: ExperimentCo
         )
 
 
+def _checked_run(scheme: str, users, layout, params, config: ExperimentConfig, cache, where: str):
+    """`_run_scheme`'s result once `_require_positive` passes its rate; FloatingPointError counts as inf."""
+    try:
+        result = _run_scheme(scheme, users, layout, params, config, cache)
+    except FloatingPointError:
+        result = math.inf
+    _require_positive(_result_rate(result), scheme, where, config)
+    return result
+
+
+# NumPy raises FloatingPointError instead of warning and computing on with inf or NaN.
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     """Run each realization over all (value, num_segments, num_users) points, one user stream at a time."""
     params = config.system_params()
@@ -409,7 +422,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     if needs_bound_users and narrow:
         warnings.warn(f"waveguide coverage is narrower than the {config.region_x_m:.6g} m user region at "
                       f"{sweep_var} = {', '.join(map(str, dict.fromkeys(narrow)))}; bound schemes resample "
-                      "out-of-extent realizations", RuntimeWarning, stacklevel=2)
+                      "out-of-extent realizations", RuntimeWarning, stacklevel=3)
     rates = np.empty((len(points), len(config.schemes), config.realizations))
     redraws = np.zeros((len(points), config.realizations), dtype=int)
     for r in range(config.realizations):
@@ -423,9 +436,8 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
                 bound_users, redraws[p, r] = stream.inside(*layout.extent)
             for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
-                rate = _result_rate(_run_scheme(scheme, chosen, layout, params, config, stream.gains))
-                _require_positive(rate, scheme, f"{sweep_var} = {value}", config)
-                rates[p, i, r] = rate
+                result = _checked_run(scheme, chosen, layout, params, config, stream.gains, f"{sweep_var} = {value}")
+                rates[p, i, r] = _result_rate(result)
     rows = []
     resample_counts = {}
     for (value, _, _), point_rates, point_redraws in zip(points, rates, redraws):
@@ -464,6 +476,7 @@ def run_user_sweep(config: ExperimentConfig) -> SweepResult:
     return _run_sweep(config, "K", points)
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
     """Run the greedy schemes once (realization 0) and return their full traces."""
     if config.num_segments is None or config.num_users is None:
@@ -475,10 +488,7 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
     layout = config.layout_for(config.num_segments)
     users = _UserStream(config, config.num_users, 0).users
     cache: dict = {}  # both greedy schemes search the same grid gains
-    traces = {scheme: _run_scheme(scheme, users, layout, params, config, cache) for scheme in greedy}
-    for scheme, trace in traces.items():
-        _require_positive(trace.best_rate, scheme, "the single run", config)
-    return traces
+    return {scheme: _checked_run(scheme, users, layout, params, config, cache, "the single run") for scheme in greedy}
 
 
 def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:

@@ -1,12 +1,13 @@
 """Reference forms that only the tests use."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from swanopt.bound import split_for_user, user_gain_bound
 from swanopt.channel import segment_gains
-from swanopt.geometry import Placement, SystemParams, User, UserSet, WaveguideLayout
+from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout
 from swanopt.optimize import (
     FULL_SA_MAX_SWEEPS,
     _infeasible_mask,
@@ -16,6 +17,26 @@ from swanopt.optimize import (
     grid_gain_table,
     phase_alternating_opt,
 )
+
+
+class User(NamedTuple):
+    """One user's ground position (z = 0) and transmit power."""
+
+    x: float
+    y: float
+    power_w: float
+
+
+def user_at(users: UserSet, k: int) -> User:
+    """User k of a user set, as plain floats."""
+    return User(float(users.x[k]), float(users.y[k]), float(users.power_w[k]))
+
+
+def params_28ghz(**kw) -> SystemParams:
+    """28 GHz carrier, n_eff = 1.4 and 1e-12 W of noise, with any field overridden by `kw`."""
+    defaults = dict(carrier_freq_hz=28e9, n_eff=1.4, noise_power_w=1e-12)
+    defaults.update(kw)
+    return SystemParams(**defaults)
 
 
 def watts_to_dbm(watts):
@@ -118,9 +139,9 @@ def bound_rate_per_user(users: UserSet, layout: WaveguideLayout, params: SystemP
     total = 0.0
     d_sq = users.dist_sq_to_axis(layout.height_m)
     for k in range(users.num_users):
-        split = split_for_user(users[k], layout)
-        gain = user_gain_bound(split, layout.num_segments, layout.segment_length_m, float(d_sq[k]), params.eta,
-                               partial_sum)
+        m_k, delta_minus, delta_plus = split_for_user(float(users.x[k]), layout)
+        gain = user_gain_bound(delta_minus, m_k, delta_plus, layout.num_segments - 1 - m_k, layout.segment_length_m,
+                               float(d_sq[k]), params.eta, partial_sum)
         total += float(users.power_w[k]) * gain
     return float(np.log2(1.0 + total / params.noise_power_w))
 

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from oracles import element_update, empty_placement, exhaustive_zero_phase_rate, quadratic_objective, with_segment
 
-from swanopt.bound import SegmentSplit, exact_amplitude_bound, f_exact, f_integral, sum_rate_bound, user_gain_bound
+from swanopt.bound import exact_amplitude_bound, f_exact, f_integral, sum_rate_bound, user_gain_bound
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate
 from swanopt.geometry import SystemParams, build_centered_layout, sample_users
 from swanopt.harness import ExperimentConfig, run_bound_sweep, run_segment_sweep, run_user_sweep, sweep_csv_text
@@ -117,9 +117,7 @@ def test_c02_integral_approximation_fidelity():
 
 def _symmetric_gain(num_segments, d_sq):
     left = (num_segments - 1) // 2
-    split = SegmentSplit(m_k=left, M_minus=left, M_plus=num_segments - 1 - left,
-                         delta_minus=0.5, delta_plus=0.5)
-    return user_gain_bound(split, num_segments, 1.0, d_sq, PARAMS.eta)
+    return user_gain_bound(0.5, left, 0.5, num_segments - 1 - left, 1.0, d_sq, PARAMS.eta)
 
 
 def test_c03_gain_bound_vanishes_near_axis():

@@ -12,11 +12,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bound_rate_per_user, cascaded_gain, effective_channel, empty_placement, f_exact_sum, with_segment
+from oracles import (
+    User,
+    bound_rate_per_user,
+    cascaded_gain,
+    effective_channel,
+    empty_placement,
+    f_exact_sum,
+    params_28ghz,
+    user_at,
+    with_segment,
+)
 
+import swanopt.bound
 from swanopt.bound import (
     ProjectionOutOfRangeError,
-    SegmentSplit,
     exact_amplitude_bound,
     f_exact,
     f_integral,
@@ -27,8 +37,6 @@ from swanopt.bound import (
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate
 from swanopt.geometry import (
     Placement,
-    SystemParams,
-    User,
     UserSet,
     WaveguideLayout,
     build_centered_layout,
@@ -37,51 +45,46 @@ from swanopt.geometry import (
 from swanopt.optimize import greedy_hssa_type1, greedy_hssa_type2
 
 
-def params_28ghz(**kw):
-    defaults = dict(carrier_freq_hz=28e9, n_eff=1.4, noise_power_w=1e-12)
-    defaults.update(kw)
-    return SystemParams(**defaults)
-
-
 class TestSplitForUser:
     def test_midpoint_of_middle_segment(self):
         lay = WaveguideLayout(1.0, (-1.5, -0.5, 0.5), 3.0)
-        s = split_for_user(User(0.0, 0.0, 0.01), lay)
-        assert (s.m_k, s.M_minus, s.M_plus) == (1, 1, 1)
-        assert s.delta_minus == pytest.approx(0.5) and s.delta_plus == pytest.approx(0.5)
+        m_k, delta_minus, delta_plus = split_for_user(0.0, lay)
+        assert (m_k, lay.num_segments - 1 - m_k) == (1, 1)
+        assert delta_minus == pytest.approx(0.5) and delta_plus == pytest.approx(0.5)
 
     def test_left_edge(self):
         lay = WaveguideLayout(1.0, (-1.5, -0.5, 0.5), 3.0)
-        s = split_for_user(User(-1.5, 0.0, 0.01), lay)
-        assert (s.m_k, s.M_minus, s.delta_minus) == (0, 0, 0.0)
+        m_k, delta_minus, _ = split_for_user(-1.5, lay)
+        assert (m_k, delta_minus) == (0, 0.0)
 
     def test_interior_point(self):
         lay = WaveguideLayout(1.0, (0.0, 1.0, 2.0, 3.0, 4.0), 3.0)
-        s = split_for_user(User(3.25, 0.0, 0.01), lay)
-        assert (s.m_k, s.M_minus, s.M_plus) == (3, 3, 1)
-        assert s.delta_minus == pytest.approx(0.25) and s.delta_plus == pytest.approx(0.75)
+        m_k, delta_minus, delta_plus = split_for_user(3.25, lay)
+        assert (m_k, lay.num_segments - 1 - m_k) == (3, 1)
+        assert delta_minus == pytest.approx(0.25) and delta_plus == pytest.approx(0.75)
 
     def test_shared_boundary_ties_to_lower_index(self):
         lay = WaveguideLayout(1.0, (0.0, 1.0, 2.0), 3.0)
-        s = split_for_user(User(2.0, 0.0, 0.01), lay)
-        assert s.m_k == 1
-        assert s.delta_minus == pytest.approx(1.0) and s.delta_plus == pytest.approx(0.0)
+        m_k, delta_minus, delta_plus = split_for_user(2.0, lay)
+        assert m_k == 1
+        assert delta_minus == pytest.approx(1.0) and delta_plus == pytest.approx(0.0)
 
     def test_counts_partition_the_layout(self):
         lay = build_centered_layout(9, 0.8, 3.0)
         rng = np.random.default_rng(3)
         for _ in range(40):
-            s = split_for_user(User(float(rng.uniform(*lay.extent)), 0.0, 0.01), lay)
-            assert s.M_minus + s.M_plus + 1 == 9
-            assert s.delta_minus + s.delta_plus == pytest.approx(0.8, rel=1e-9)
-            assert 0 <= s.delta_minus <= 0.8 and 0 <= s.delta_plus <= 0.8
+            x = float(rng.uniform(*lay.extent))
+            m_k, delta_minus, delta_plus = split_for_user(x, lay)
+            assert 0 <= m_k < 9 and lay.feed_x[m_k] <= x <= lay.segment_ends[m_k]
+            assert delta_minus + delta_plus == pytest.approx(0.8, rel=1e-9)
+            assert 0 <= delta_minus <= 0.8 and 0 <= delta_plus <= 0.8
 
     def test_projection_outside_extent_rejected(self):
         lay = build_centered_layout(3, 1.0, 3.0)
         with pytest.raises(ProjectionOutOfRangeError):
-            split_for_user(User(1.6, 0.0, 0.01), lay)
+            split_for_user(1.6, lay)
         with pytest.raises(ProjectionOutOfRangeError):
-            split_for_user(User(-1.6, 0.0, 0.01), lay)
+            split_for_user(-1.6, lay)
 
 
 def linear_scan_split(x, layout):
@@ -89,7 +92,7 @@ def linear_scan_split(x, layout):
     L = layout.segment_length_m
     for m in range(layout.num_segments):
         if x <= layout.feed_x[m] + L:
-            return SegmentSplit(m, m, layout.num_segments - 1 - m, x - layout.feed_x[m], layout.feed_x[m] + L - x)
+            return m, x - layout.feed_x[m], layout.feed_x[m] + L - x
     raise AssertionError("point right of the extent")
 
 
@@ -112,7 +115,7 @@ class TestSplitForUserOracle:
     def test_bisection_matches_linear_scan(self, case):
         layout, points = case
         for x in points:
-            assert split_for_user(User(x, 0.0, 0.01), layout) == linear_scan_split(x, layout)
+            assert split_for_user(x, layout) == linear_scan_split(x, layout)
 
 
 class TestPartialSums:
@@ -164,38 +167,33 @@ class TestPartialSums:
 
 
 def symmetric_split(num_segments):
+    """(delta_minus, n_minus, delta_plus, n_plus) of a projection at the middle segment's midpoint."""
     left = (num_segments - 1) // 2
-    return SegmentSplit(m_k=left, M_minus=left, M_plus=num_segments - 1 - left,
-                        delta_minus=0.5, delta_plus=0.5)
+    return 0.5, left, 0.5, num_segments - 1 - left
 
 
 class TestUserGainBound:
     def test_single_segment_reduces_to_projection_gain(self):
         eta = params_28ghz().eta
-        split = SegmentSplit(m_k=0, M_minus=0, M_plus=0, delta_minus=0.4, delta_plus=0.6)
-        assert user_gain_bound(split, 1, 1.0, 9.0, eta) == pytest.approx(eta / 9.0, rel=1e-14)
+        assert user_gain_bound(0.4, 0, 0.6, 0, 1.0, 9.0, eta) == pytest.approx(eta / 9.0, rel=1e-14)
 
     def test_three_segment_symmetric_case(self):
         eta = params_28ghz().eta
         bracket = 1.0 / 3.0 + 2.0 * math.asinh(1.0 / 3.0)
         expected = eta / 3.0 * bracket**2
-        assert user_gain_bound(symmetric_split(3), 3, 1.0, 9.0, eta) == pytest.approx(expected, rel=1e-14)
-
-    def test_inconsistent_segment_count_rejected(self):
-        with pytest.raises(ValueError):
-            user_gain_bound(symmetric_split(3), 4, 1.0, 9.0, 1.0)
+        assert user_gain_bound(*symmetric_split(3), 1.0, 9.0, eta) == pytest.approx(expected, rel=1e-14)
 
     def test_vanishes_for_huge_layouts(self):
         eta = params_28ghz().eta
-        peak = max(user_gain_bound(symmetric_split(m), m, 1.0, 9.0, eta) for m in range(1, 201))
-        tail = user_gain_bound(symmetric_split(10**6), 10**6, 1.0, 9.0, eta)
+        peak = max(user_gain_bound(*symmetric_split(m), 1.0, 9.0, eta) for m in range(1, 201))
+        tail = user_gain_bound(*symmetric_split(10**6), 1.0, 9.0, eta)
         assert tail < 1e-3 * peak
 
     def test_below_single_segment_gain_once_large(self):
         eta = params_28ghz().eta
-        g1 = user_gain_bound(symmetric_split(1), 1, 1.0, 9.0, eta)
-        g4 = user_gain_bound(symmetric_split(10**4), 10**4, 1.0, 9.0, eta)
-        g5 = user_gain_bound(symmetric_split(10**5), 10**5, 1.0, 9.0, eta)
+        g1 = user_gain_bound(*symmetric_split(1), 1.0, 9.0, eta)
+        g4 = user_gain_bound(*symmetric_split(10**4), 1.0, 9.0, eta)
+        g5 = user_gain_bound(*symmetric_split(10**5), 1.0, 9.0, eta)
         assert g5 < g4 < g1
 
 
@@ -245,7 +243,7 @@ class TestRateBounds:
                 lo, hi = lay.segment_interval(m)
                 pl = with_segment(pl, m, float(rng.uniform(lo, hi)), phase=float(rng.uniform(0, 2 * np.pi)))
             pl.validate(lay, self.params)
-            channels = [effective_channel(pl, users[k], lay, self.params) for k in range(3)]
+            channels = [effective_channel(pl, user_at(users, k), lay, self.params) for k in range(3)]
             achieved = np.log2(1.0 + sum(
                 users.power_w[k] * abs(channels[k]) ** 2 for k in range(3)
             ) / self.params.noise_power_w)
@@ -258,6 +256,23 @@ class TestRateBounds:
         users = UserSet(x=np.array([5.0]), y=np.zeros(1), power_w=np.array([0.01]))
         with pytest.raises(ProjectionOutOfRangeError):
             sum_rate_bound(users, lay, self.params)
+
+    def test_each_bound_splits_every_user_once_by_module_name(self, monkeypatch):
+        # Both bounds look the split up as `bound.split_for_user`, once per user.
+        calls = []
+
+        def counting(x, layout):
+            calls.append(x)
+            return split_for_user(x, layout)
+
+        monkeypatch.setattr(swanopt.bound, "split_for_user", counting)
+        lay = build_centered_layout(30, 1.0, 3.0)
+        users = sample_users(5, 20, 20, 0.01, 41)
+        exact_amplitude_bound(users, lay, self.params)
+        assert calls == users.x.tolist()
+        calls.clear()
+        sum_rate_bound(users, lay, self.params)
+        assert calls == users.x.tolist()
 
     def test_activated_level_triangle_bound(self):
         # For any placement, |h|^2 is capped by the coherent-combining value

@@ -8,19 +8,23 @@ guided wavelength 0.0107068735 / 1.4 = 7.6477667857142865e-03.
 
 import numpy as np
 import pytest
-from oracles import cascaded_gain, effective_channel, empty_placement, freespace_gain, waveguide_gain, with_segment
+from oracles import (
+    User,
+    cascaded_gain,
+    effective_channel,
+    empty_placement,
+    freespace_gain,
+    params_28ghz,
+    user_at,
+    waveguide_gain,
+    with_segment,
+)
 
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains, sum_rate
-from swanopt.geometry import Placement, SystemParams, User, UserSet, build_centered_layout, sample_users
+from swanopt.geometry import Placement, UserSet, build_centered_layout, sample_users
 
 ETA_28GHZ = 7.259481705540116e-07
 PROJECTION_GAIN_D3 = 2.840086404307704e-04  # sqrt(eta)/3
-
-
-def params_28ghz(**kw):
-    defaults = dict(carrier_freq_hz=28e9, n_eff=1.4, noise_power_w=1e-12)
-    defaults.update(kw)
-    return SystemParams(**defaults)
 
 
 class TestFreespaceGain:
@@ -133,7 +137,7 @@ class TestCascadedGain:
         assert block.shape == (3, 9)
         for k in range(3):
             for q in (0, 4, 8):
-                direct = cascaded_gain(users[k], 2, float(pts[q]), self.layout, self.params)
+                direct = cascaded_gain(user_at(users, k), 2, float(pts[q]), self.layout, self.params)
                 assert block[k, q] == pytest.approx(direct, rel=1e-13)
 
 
@@ -206,7 +210,7 @@ class TestEffectiveChannel:
         rng = np.random.default_rng(8)
         users = sample_users(3, 3.5, 8, 0.01, 31)
         pl = self._random_placement(rng, phases=True)
-        channels = [effective_channel(pl, users[k], self.layout, self.params) for k in range(3)]
+        channels = [effective_channel(pl, user_at(users, k), self.layout, self.params) for k in range(3)]
         assert placement_sum_rate(users, pl, self.layout, self.params) == pytest.approx(
             sum_rate(channels, users, self.params), rel=1e-12
         )

@@ -2,24 +2,17 @@
 
 import numpy as np
 import pytest
-from oracles import empty_placement, watts_to_dbm, with_segment
+from oracles import empty_placement, params_28ghz, watts_to_dbm, with_segment
 
 from swanopt.geometry import (
     SPEED_OF_LIGHT_M_S,
     Placement,
-    SystemParams,
     UserSet,
     WaveguideLayout,
     build_centered_layout,
     dbm_to_watts,
     sample_users,
 )
-
-
-def params_28ghz(**kw):
-    defaults = dict(carrier_freq_hz=28e9, n_eff=1.4, noise_power_w=1e-12)
-    defaults.update(kw)
-    return SystemParams(**defaults)
 
 
 class TestSystemParams:

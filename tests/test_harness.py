@@ -660,23 +660,28 @@ class TestCli:
         *[("power", scheme) for scheme in harness.SCHEMES],
         ("carrier", "hssa-1"),
         ("carrier", "bound-exact"),
+        ("axis", "hssa-1"),
+        ("axis", "bound-exact"),
     ])
-    def test_overflowing_rate_reports_error(self, tmp_path, overflow, scheme):
-        # The SNR overflows to inf. The overflow warnings on the way are errors
-        # under pytest, so the CLI runs in a subprocess.
+    def test_overflowing_rate_reports_error(self, tmp_path, capsys, overflow, scheme):
+        # The SNR overflows to inf. NumPy raises at the first overflow on the
+        # way, so nothing warns (a warning is an error under pytest). A single
+        # run of a greedy scheme sees the sweep's realization 0 at M = 2.
         keys = {"power": "tx_power_dbm = 3000\nnoise_dbm = -3000\n",
-                "carrier": "carrier_freq_hz = 1e-142\nnoise_dbm = -150\n"}[overflow]
-        text = f"num_users = 2\nsegment_sweep = 2\ngrid_points = 20\nrealizations = 1\nschemes = {scheme}\n{keys}"
-        out = tmp_path / "x.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "swanopt.cli", "segment-sweep",
-             "--config", self.write_config(tmp_path, text), "--output", str(out), "--quiet"],
-            env=dict(os.environ), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert f"{scheme} rate at M = 2 is inf" in proc.stderr
-        assert all(key in proc.stderr for key in ("noise_dbm", "tx_power_dbm", "carrier_freq_hz"))
-        assert not out.exists()
+                "carrier": "carrier_freq_hz = 1e-142\nnoise_dbm = -150\n",
+                "axis": "height_m = 1e-160\nregion_x_m = 1e-160\nregion_y_m = 1e-160\n"}[overflow]
+        text = (f"num_users = 2\nnum_segments = 2\nsegment_sweep = 2\ngrid_points = 20\nrealizations = 1\n"
+                f"schemes = {scheme}\n{keys}")
+        runs = [("segment-sweep", "M = 2"), ("single-run", "the single run")]
+        for command, where in runs if scheme.startswith("hssa-") else runs[:1]:
+            out = tmp_path / "x.csv"
+            assert cli_main([command, "--config", self.write_config(tmp_path, text), "--output", str(out),
+                             "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert f"{scheme} rate at {where} is inf" in err
+            assert all(key in err for key in ("noise_dbm", "tx_power_dbm", "carrier_freq_hz", "height_m"))
+            assert "RuntimeWarning" not in err and "overflow encountered" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("ao_tol", "-1e-8"), ("ao_max_iter", "-1")])
     def test_negative_ao_setting_reports_error(self, tmp_path, capsys, key, value):

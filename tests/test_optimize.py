@@ -11,12 +11,13 @@ from oracles import (
     empty_placement,
     exhaustive_zero_phase_rate,
     full_sa_rescan,
+    params_28ghz,
     quadratic_objective,
     with_segment,
 )
 
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains
-from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, build_centered_layout, sample_users
+from swanopt.geometry import Placement, UserSet, WaveguideLayout, build_centered_layout, sample_users
 from swanopt.optimize import (
     GreedyTrace,
     _best_grid_point,
@@ -32,12 +33,6 @@ from swanopt.optimize import (
 )
 
 TWO_PI = 2 * np.pi
-
-
-def params_28ghz(**kw):
-    defaults = dict(carrier_freq_hz=28e9, n_eff=1.4, noise_power_w=1e-12)
-    defaults.update(kw)
-    return SystemParams(**defaults)
 
 
 def random_matrix(rng, num_segments, num_users):
