@@ -242,7 +242,10 @@ def _parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         if key not in _PARSERS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _PARSERS[key](rendered)
+        try:
+            values[key] = _PARSERS[key](rendered)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key} = {rendered}: {exc}") from exc
     return values
 
 
@@ -348,37 +351,6 @@ class _UserStream:
             j += 1
 
 
-def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, cache=None):
-    """Call one scheme with the config's settings and return its own result.
-
-    Bounds return a rate, the greedy searches a GreedyTrace and the
-    full-activation baselines a (placement, rate) pair. The optimizers read
-    and fill `cache`, the grid-gain cache of `users` (see `grid_gain_table`).
-    """
-    if scheme == "bound-exact":
-        return exact_amplitude_bound(users, layout, params)
-    if scheme == "bound-integral":
-        return sum_rate_bound(users, layout, params)
-    if scheme == "hssa-1":
-        return greedy_hssa_type1(users, layout, params, config.grid_points, cache=cache)
-    if scheme == "hssa-2":
-        return greedy_hssa_type2(users, layout, params, config.grid_points,
-                                 tol=config.ao_tol, max_iter=config.ao_max_iter, cache=cache)
-    if scheme in ("full-sa-1", "full-sa-2"):
-        variant = "type1" if scheme == "full-sa-1" else "type2"
-        return full_sa_baseline(users, layout, params, config.grid_points, variant,
-                                tol=config.ao_tol, max_iter=config.ao_max_iter, cache=cache)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _result_rate(result) -> float:
-    if isinstance(result, GreedyTrace):
-        return result.best_rate
-    if isinstance(result, tuple):
-        return result[1]
-    return result
-
-
 def _require_positive(rate: float, scheme: str, where: str, config: ExperimentConfig) -> None:
     """Raise ValueError when a scheme's rate is not finite and positive.
 
@@ -400,14 +372,36 @@ def _require_positive(rate: float, scheme: str, where: str, config: ExperimentCo
         )
 
 
-def _checked_run(scheme: str, users, layout, params, config: ExperimentConfig, cache, where: str):
-    """`_run_scheme`'s result once `_require_positive` passes its rate; FloatingPointError counts as inf."""
+def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, cache, where: str):
+    """Call one scheme with the config's settings; return its result and its rate.
+
+    The optimizers read and fill `cache`, the grid-gain cache of `users` (see
+    `grid_gain_table`). A FloatingPointError counts as an infinite rate, which
+    `_require_positive` rejects like any rate at `where` that is not finite and positive.
+    """
+    # perfbench wraps the five scheme functions by their names in this module, reads users, layout and params
+    # from args[0:3] and full-SA's variant from args[4] or variant=, and takes a bound's result as the rate, a
+    # greedy's as a GreedyTrace and full-SA's as a (placement, rate) pair. So call them through the module
+    # globals, pass the variant explicitly and keep those result types.
     try:
-        result = _run_scheme(scheme, users, layout, params, config, cache)
+        if scheme in _BOUND_SCHEMES:
+            bound = exact_amplitude_bound if scheme == "bound-exact" else sum_rate_bound
+            result = rate = bound(users, layout, params)
+        elif scheme == "hssa-1":
+            result = greedy_hssa_type1(users, layout, params, config.grid_points, cache=cache)
+            rate = result.best_rate
+        elif scheme == "hssa-2":
+            result = greedy_hssa_type2(users, layout, params, config.grid_points,
+                                       tol=config.ao_tol, max_iter=config.ao_max_iter, cache=cache)
+            rate = result.best_rate
+        else:
+            result = full_sa_baseline(users, layout, params, config.grid_points, "type" + scheme[-1],
+                                      tol=config.ao_tol, max_iter=config.ao_max_iter, cache=cache)
+            rate = result[1]
     except FloatingPointError:
-        result = math.inf
-    _require_positive(_result_rate(result), scheme, where, config)
-    return result
+        result = rate = math.inf
+    _require_positive(rate, scheme, where, config)
+    return result, rate
 
 
 # NumPy raises FloatingPointError instead of warning and computing on with inf or NaN.
@@ -417,6 +411,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     params = config.system_params()
     needs_bound_users = any(s in _BOUND_SCHEMES for s in config.schemes)
     layouts = [config.layout_for(num_segments) for _, num_segments, _ in points]
+    wheres = [f"{sweep_var} = {value}" for value, _, _ in points]
     narrow = [value for (value, _, _), layout in zip(points, layouts)
               if layout.extent[1] - layout.extent[0] < config.region_x_m * (1 - 1e-12)]
     if needs_bound_users and narrow:
@@ -427,7 +422,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     redraws = np.zeros((len(points), config.realizations), dtype=int)
     for r in range(config.realizations):
         stream = None
-        for p, ((value, _, num_users), layout) in enumerate(zip(points, layouts)):
+        for p, ((_, _, num_users), layout, where) in enumerate(zip(points, layouts, wheres)):
             if stream is None or stream.num_users != num_users:
                 stream = None  # drop the old draws first, so that one stream is alive at a time
                 stream = _UserStream(config, num_users, r)
@@ -436,8 +431,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
                 bound_users, redraws[p, r] = stream.inside(*layout.extent)
             for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
-                result = _checked_run(scheme, chosen, layout, params, config, stream.gains, f"{sweep_var} = {value}")
-                rates[p, i, r] = _result_rate(result)
+                _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, stream.gains, where)
     rows = []
     resample_counts = {}
     for (value, _, _), point_rates, point_redraws in zip(points, rates, redraws):
@@ -488,7 +482,7 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
     layout = config.layout_for(config.num_segments)
     users = _UserStream(config, config.num_users, 0).users
     cache: dict = {}  # both greedy schemes search the same grid gains
-    return {scheme: _checked_run(scheme, users, layout, params, config, cache, "the single run") for scheme in greedy}
+    return {scheme: _run_scheme(scheme, users, layout, params, config, cache, "the single run")[0] for scheme in greedy}
 
 
 def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:

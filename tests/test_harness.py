@@ -391,6 +391,38 @@ class TestSweepEngine:
                                         realizations=3, schemes=("bound-exact", "hssa-1")))
         assert len(most) == 3 * 3 and max(most) == 1
 
+    def test_each_scheme_runs_once_per_point_and_realization(self, monkeypatch):
+        # Record every call of the five scheme functions as the harness makes
+        # it, by CSV label and segment count: the users it got and its rate.
+        labels = {"exact_amplitude_bound": "bound-exact", "sum_rate_bound": "bound-integral",
+                  "greedy_hssa_type1": "hssa-1", "greedy_hssa_type2": "hssa-2"}
+        calls = {}
+        for name in (*labels, "full_sa_baseline"):
+            def recording(*args, fn=getattr(harness, name), name=name, **kwargs):
+                result = fn(*args, **kwargs)
+                if name == "full_sa_baseline":  # the variant must be passed, 5th or by name
+                    variant = args[4] if len(args) > 4 else kwargs["variant"]
+                    label, rate = {"type1": "full-sa-1", "type2": "full-sa-2"}[variant], result[1]
+                else:
+                    label = labels[name]
+                    rate = result if label.startswith("bound-") else result.best_rate
+                calls.setdefault((label, args[1].num_segments), []).append((args[0].x.tobytes(), rate))
+                return result
+
+            monkeypatch.setattr(harness, name, recording)
+        # At M = 20 a greedy's best level is not always full activation.
+        cfg = self.make_config(segment_sweep=(20, 3), schemes=(
+            "hssa-2", "full-sa-2", "bound-integral", "hssa-1", "bound-exact", "full-sa-1"))
+        res = run_segment_sweep(cfg)
+        draws = {_UserStream(cfg, 2, r).users.x.tobytes() for r in range(2)}
+        assert sorted(calls) == sorted((s, m) for s in cfg.schemes for m in cfg.segment_sweep)
+        for (scheme, m), seen in calls.items():
+            users = {x for x, _ in seen}
+            assert len(seen) == 2 and len(users) == 2  # one call in each realization
+            if not scheme.startswith("bound-"):
+                assert users == draws
+            assert res.row(m, scheme).mean_rate == np.mean([rate for _, rate in seen])
+
     def test_user_sweep_single_user_point_matches_segment_sweep(self):
         ucfg = self.make_config(segment_sweep=None, num_segments=4, num_users=None,
                                 user_sweep=(1,), schemes=("hssa-1",))
@@ -594,6 +626,19 @@ class TestCli:
         assert cli_main(["segment-sweep", "--config", cfg, "--output", str(out), "--quiet", *flags]) == 2
         captured = capsys.readouterr()
         assert key in captured.err and not out.exists()
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("num_users", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("realizations", "1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("carrier_freq_hz", "28GHz", "could not convert string to float: '28GHz'"),
+        ("segment_sweep", "2, x", "invalid literal for int() with base 10: 'x'"),
+    ], ids=["int", "int-exponent", "float", "tuple"])
+    def test_unparsable_value_reports_line_and_key(self, tmp_path, capsys, key, value, reason):
+        cfg = self.write_config(tmp_path, f"schemes = bound-exact\n# a comment\n{key} = {value}\n")
+        out = tmp_path / "x.csv"
+        assert cli_main(["segment-sweep", "--config", cfg, "--output", str(out), "--quiet"]) == 2
+        assert f"error: config line 3: {key} = {value}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("height_m", "nan"), ("noise_dbm", "inf")])
     def test_non_finite_value_reports_error(self, tmp_path, capsys, key, value):
