@@ -9,11 +9,14 @@ the documented thresholds for every edge offset, including offsets smaller
 than half a segment. Below full activation, each user's bound counts only
 its nearest segments, as many as are active.
 
-Pure functions throughout; safe for arbitrary parallel invocation.
+The exact bound can keep its inverse-distance terms in a `cache=` dict and
+sum prefixes of them, since a user's edge offsets recur from one layout to
+the next; apart from filling that dict, the functions are pure.
 """
 
 import math
 from bisect import bisect_left
+from functools import partial
 
 import numpy as np
 
@@ -42,17 +45,12 @@ def split_for_user(x: float, layout: WaveguideLayout) -> tuple[int, float, float
     return m_k, x - layout.feed_x[m_k], ends[m_k] - x
 
 
-def f_exact(delta: float, n: int, length: float, d_sq: float) -> float:
-    """Sum over n consecutive segments of 1/sqrt((delta + (i-1)*L)^2 + d_sq).
+def _inverse_distances(delta: float, n: int, length: float, d_sq: float) -> np.ndarray:
+    """The n terms 1 / sqrt((delta + length * i)**2 + d_sq), i = 0..n-1.
 
-    `delta` is the distance from the projection to the nearest edge of the
-    first counted segment; the sum is 0 for n = 0.
+    One buffer, filled in place with the expression's operations in its
+    order, so with its bits.
     """
-    _check_f_args(delta, n, length, d_sq)
-    if n == 0:
-        return 0.0
-    # One buffer, filled in place: the same operations in the same order as
-    # 1 / sqrt((delta + length * i)**2 + d_sq), so the same bits.
     buf = np.arange(n, dtype=float)
     buf *= length
     buf += delta
@@ -60,7 +58,26 @@ def f_exact(delta: float, n: int, length: float, d_sq: float) -> float:
     buf += d_sq
     np.sqrt(buf, out=buf)
     np.divide(1.0, buf, out=buf)
-    return float(np.add.reduce(buf))
+    return buf
+
+
+def f_exact(delta: float, n: int, length: float, d_sq: float, cache=None) -> float:
+    """Sum over n consecutive segments of 1/sqrt((delta + (i-1)*L)^2 + d_sq).
+
+    `delta` is the distance from the projection to the nearest edge of the
+    first counted segment; the sum is 0 for n = 0. A `cache` dict keeps the
+    terms of each (delta, L, d_sq), and later sums reduce a prefix of them,
+    which has the bits of a fresh n-term buffer, as the terms are elementwise.
+    """
+    _check_f_args(delta, n, length, d_sq)
+    if n == 0:
+        return 0.0
+    cache = {} if cache is None else cache
+    key = ("f_exact", delta, length, d_sq)
+    terms = cache.get(key, ())
+    if len(terms) < n:  # at least twice the old entry, so that a growing sweep recomputes rarely
+        terms = cache[key] = _inverse_distances(delta, max(n, 2 * len(terms)), length, d_sq)
+    return float(np.add.reduce(terms[:n]))
 
 
 def f_integral(delta: float, n: int, length: float, d_sq: float) -> float:
@@ -141,7 +158,7 @@ def sum_rate_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams
 
 
 def exact_amplitude_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams,
-                          level: int | None = None) -> float:
+                          level: int | None = None, cache=None) -> float:
     """Sum-rate upper bound evaluated with the exact amplitude summation.
 
     Places every antenna at the closest point to the user projection within
@@ -151,5 +168,6 @@ def exact_amplitude_bound(users: UserSet, layout: WaveguideLayout, params: Syste
     user's gain is capped by its `level` nearest segments, which is the
     full-activation value only at level M. A placement of fewer segments can
     beat the level-M value once M is past the best activation level.
+    Any calls may share one `cache` dict of partial-sum terms (see `f_exact`).
     """
-    return _bound_rate(users, layout, params, f_exact, level)
+    return _bound_rate(users, layout, params, partial(f_exact, cache=cache), level)

@@ -2,7 +2,8 @@
 
 Subcommands mirror the harness runners: bound-sweep, segment-sweep,
 user-sweep, and single-run. Each reads a key=value config file; --seed,
---realizations, and --output override the corresponding config fields.
+--realizations, and --output override the corresponding config fields. A
+bad config, a failed run or a run out of memory exits with status 2.
 """
 
 import argparse
@@ -61,8 +62,9 @@ def main(argv=None) -> int:
         else:
             result = _RUNNERS[args.command](config)
             text = write_sweep_result(result, config.output)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        hint = "out of memory; lower grid_points, num_users or realizations: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {hint}{exc}", file=sys.stderr)
         return 2
     if not args.quiet:
         sys.stdout.write(text)

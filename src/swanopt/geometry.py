@@ -54,22 +54,22 @@ class SystemParams:
         elif self.min_spacing_m <= 0:
             raise ValueError("min_spacing_m must be positive")
 
-    @property
+    @cached_property
     def wavelength_m(self) -> float:
         """Free-space wavelength [m]."""
         return SPEED_OF_LIGHT_M_S / self.carrier_freq_hz
 
-    @property
+    @cached_property
     def guided_wavelength_m(self) -> float:
         """In-waveguide wavelength [m], free-space wavelength over n_eff."""
         return self.wavelength_m / self.n_eff
 
-    @property
+    @cached_property
     def wavenumber(self) -> float:
         """Free-space wavenumber 2*pi/wavelength [rad/m]."""
         return 2.0 * np.pi / self.wavelength_m
 
-    @property
+    @cached_property
     def eta(self) -> float:
         """Free-space power gain at 1 m, (wavelength / 4 pi)^2 [dimensionless]."""
         return SPEED_OF_LIGHT_M_S**2 / (16.0 * np.pi**2 * self.carrier_freq_hz**2)
@@ -117,7 +117,7 @@ class WaveguideLayout:
         """Right edge feed_x[m] + L of every segment, in segment order."""
         return tuple(x + self.segment_length_m for x in self.feed_x)
 
-    @property
+    @cached_property
     def extent(self) -> tuple[float, float]:
         """x-range covered by the waveguide, first feed to last segment end."""
         return self.feed_x[0], self.feed_x[-1] + self.segment_length_m
@@ -228,6 +228,12 @@ def build_centered_layout(
     return WaveguideLayout(segment_length_m=segment_length_m, feed_x=feeds, height_m=height_m)
 
 
+def centered_uniform(u, width):
+    """Unit draws `u` scaled onto [-width/2, width/2) as `Generator.uniform` scales them: low + (high - low) * u."""
+    low, high = -width / 2.0, width / 2.0
+    return low + (high - low) * u
+
+
 def sample_users(num_users, region_x_m, region_y_m, power_w, rng_seed) -> UserSet:
     """Draw users uniformly over a centered region_x_m by region_y_m rectangle.
 
@@ -239,8 +245,7 @@ def sample_users(num_users, region_x_m, region_y_m, power_w, rng_seed) -> UserSe
         raise ValueError("num_users must be at least 1")
     if region_x_m <= 0 or region_y_m <= 0:
         raise ValueError("region dimensions must be positive")
-    rng = np.random.default_rng(rng_seed)
-    x = rng.uniform(-region_x_m / 2.0, region_x_m / 2.0, size=num_users)
-    y = rng.uniform(-region_y_m / 2.0, region_y_m / 2.0, size=num_users)
+    u = np.random.default_rng(rng_seed).random((2, num_users))
+    x, y = centered_uniform(u[0], region_x_m), centered_uniform(u[1], region_y_m)
     p = np.broadcast_to(np.asarray(power_w, dtype=float), (num_users,)).copy()
     return UserSet(x=x, y=y, power_w=p)

@@ -20,10 +20,10 @@ segment count, so a sweep runs one realization at a time over all its
 points: the realization's stream keeps its draws from point to point
 (until the user count changes) and draws further only when no kept draw
 fits, so the accepted draws and counts are those of a fresh stream at
-every point. The stream also holds the grid-gain cache of its users, which
-every optimizer scheme passes to `grid_gain_table`, so each distinct
-segment interval's block (and full-SA midpoint column) is computed once per
-realization and every later point and scheme reuses it.
+every point. Redraws come in doubling blocks, and only a draw that a bound
+scheme gets becomes a `UserSet`. The stream also holds its realization's
+cache: the optimizers' grid-gain blocks (see `grid_gain_table`), each
+computed once per distinct segment interval, and the exact bound's terms.
 """
 
 import hashlib
@@ -43,6 +43,7 @@ from .geometry import (
     UserSet,
     WaveguideLayout,
     build_centered_layout,
+    centered_uniform,
     dbm_to_watts,
     sample_users,
 )
@@ -315,34 +316,40 @@ class _UserStream:
     """The draws of one realization's stream (master_seed, realization).
 
     Draw 0, `users`, is the user set every scheme sees. The stream keeps
-    every draw with its x-range, so that the sweep points of one
-    realization with the same user count reuse them, and the cache `gains`
-    of the blocks computed from `users` (see `grid_gain_table`).
+    every draw's x-range and coordinates, so that the sweep points of one
+    realization with the same user count reuse them, and builds a `UserSet`
+    only for a draw that `inside` returns. `cache` holds the grid-gain
+    blocks of `users` and the exact bound's terms, which fit any user set.
     """
 
     def __init__(self, config: ExperimentConfig, num_users: int, realization: int):
         self.config = config
         self.num_users = num_users
         self.rng = np.random.default_rng([config.master_seed, realization])
-        self.draws: list[tuple[UserSet, float, float]] = []  # (users, x min, x max) in stream order
-        self.users = self._draw()
-        self.gains: dict = {}
+        self.users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, self.rng)
+        self.draws = [(float(self.users.x.min()), float(self.users.x.max()), self.users.x, self.users.y)]
+        self.built = {0: self.users}  # the user sets `inside` has returned, by draw index
+        self.cache: dict = {}
 
-    def _draw(self) -> UserSet:
+    def _draw_block(self) -> None:
+        """Draw as many more draws as the stream holds, up to MAX_REDRAWS + 1 in all."""
         c = self.config
-        users = sample_users(self.num_users, c.region_x_m, c.region_y_m, c.tx_power_w, self.rng)
-        self.draws.append((users, users.x.min(), users.x.max()))
-        return users
+        count = min(len(self.draws), MAX_REDRAWS + 1 - len(self.draws))
+        u = self.rng.random((count, 2, self.num_users))  # draw by draw, x then y, as `sample_users` draws them
+        x, y = centered_uniform(u[:, 0], c.region_x_m), centered_uniform(u[:, 1], c.region_y_m)
+        self.draws += zip(x.min(axis=1).tolist(), x.max(axis=1).tolist(), x, y)
 
     def inside(self, lo: float, hi: float) -> tuple[UserSet, int]:
         """The first draw with every projection in [lo, hi], and its index in the stream."""
         j = 0
         while True:
             if j == len(self.draws):
-                self._draw()
-            users, x_min, x_max = self.draws[j]
+                self._draw_block()
+            x_min, x_max, x, y = self.draws[j]
             if lo <= x_min and x_max <= hi:
-                return users, j
+                if j not in self.built:
+                    self.built[j] = UserSet(x=x, y=y, power_w=self.users.power_w)
+                return self.built[j], j
             if j == MAX_REDRAWS:
                 raise ValueError(
                     f"no draw of {self.num_users} users within {MAX_REDRAWS} redraws has every projection "
@@ -375,18 +382,19 @@ def _require_positive(rate: float, scheme: str, where: str, config: ExperimentCo
 def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, cache, where: str):
     """Call one scheme with the config's settings; return its result and its rate.
 
-    The optimizers read and fill `cache`, the grid-gain cache of `users` (see
-    `grid_gain_table`). A FloatingPointError counts as an infinite rate, which
-    `_require_positive` rejects like any rate at `where` that is not finite and positive.
+    The optimizers and the exact bound read and fill `cache` (see `_UserStream`).
+    A FloatingPointError counts as an infinite rate, which `_require_positive`
+    rejects like any rate at `where` that is not finite and positive.
     """
     # perfbench wraps the five scheme functions by their names in this module, reads users, layout and params
     # from args[0:3] and full-SA's variant from args[4] or variant=, and takes a bound's result as the rate, a
     # greedy's as a GreedyTrace and full-SA's as a (placement, rate) pair. So call them through the module
     # globals, pass the variant explicitly and keep those result types.
     try:
-        if scheme in _BOUND_SCHEMES:
-            bound = exact_amplitude_bound if scheme == "bound-exact" else sum_rate_bound
-            result = rate = bound(users, layout, params)
+        if scheme == "bound-exact":
+            result = rate = exact_amplitude_bound(users, layout, params, cache=cache)
+        elif scheme == "bound-integral":
+            result = rate = sum_rate_bound(users, layout, params)
         elif scheme == "hssa-1":
             result = greedy_hssa_type1(users, layout, params, config.grid_points, cache=cache)
             rate = result.best_rate
@@ -431,7 +439,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
                 bound_users, redraws[p, r] = stream.inside(*layout.extent)
             for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
-                _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, stream.gains, where)
+                _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, stream.cache, where)
     rows = []
     resample_counts = {}
     for (value, _, _), point_rates, point_redraws in zip(points, rates, redraws):

@@ -7,7 +7,7 @@ import numpy as np
 
 from swanopt.bound import split_for_user, user_gain_bound
 from swanopt.channel import segment_gains
-from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout
+from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, sample_users
 from swanopt.optimize import (
     FULL_SA_MAX_SWEEPS,
     _infeasible_mask,
@@ -144,6 +144,33 @@ def bound_rate_per_user(users: UserSet, layout: WaveguideLayout, params: SystemP
                                float(d_sq[k]), params.eta, partial_sum)
         total += float(users.power_w[k]) * gain
     return float(np.log2(1.0 + total / params.noise_power_w))
+
+
+class PerDrawStream:
+    """A realization's user stream with one `sample_users` call per draw; it keeps its draws."""
+
+    def __init__(self, config, num_users: int, realization: int):
+        self.config = config
+        self.num_users = num_users
+        self.rng = np.random.default_rng([config.master_seed, realization])
+        self.draws: list[UserSet] = []
+        self.users = self._draw()
+
+    def _draw(self) -> UserSet:
+        c = self.config
+        self.draws.append(sample_users(self.num_users, c.region_x_m, c.region_y_m, c.tx_power_w, self.rng))
+        return self.draws[-1]
+
+    def inside(self, lo: float, hi: float, cap: int):
+        """(users, index) of the first draw with every projection in [lo, hi]; None past `cap` redraws."""
+        for j in itertools.count():
+            if j == len(self.draws):
+                self._draw()
+            users = self.draws[j]
+            if lo <= users.x.min() and users.x.max() <= hi:
+                return users, j
+            if j == cap:
+                return None
 
 
 def full_sa_rescan(users, layout, params, grid_points, variant="type1", tol=1e-8, max_iter=100):

@@ -327,6 +327,49 @@ class TestLeanKernelBits:
         assert integral.hex() == bound_rate_per_user(users, layout, params, f_integral).hex()
 
 
+class TestExactBoundTermCache:
+    """One cache shared by every bound call gives the bits of the calls without one."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        length=st.sampled_from([1.0, 0.3]),
+        # segment counts in any order, the first one repeated last
+        counts=st.lists(st.integers(1, 40), min_size=1, max_size=6).map(lambda c: [*c, c[0]]),
+        num_users=st.integers(1, 3),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_shared_cache_matches_uncached_bounds(self, length, counts, num_users, seeds, data):
+        params = params_28ghz()
+        cache = {}
+        narrowest = min(counts) * length
+        for seed in seeds:
+            # Inside the narrowest layout's extent, so inside every layout's.
+            users = sample_users(num_users, narrowest, 20.0, 0.01, seed)
+            # A longer layout first leaves entries longer than any later sum needs.
+            for m in (3 * max(counts), *counts):
+                layout = build_centered_layout(m, length, 3.0)
+                exact = exact_amplitude_bound(users, layout, params, cache=cache)
+                assert exact.hex() == bound_rate_per_user(users, layout, params, f_exact_sum).hex()
+                level = data.draw(st.integers(1, m))
+                assert (exact_amplitude_bound(users, layout, params, level, cache=cache).hex()
+                        == exact_amplitude_bound(users, layout, params, level).hex())
+        assert cache and all(key[0] == "f_exact" for key in cache)
+
+    def test_negative_edge_distance_still_raises(self):
+        cache = {}
+        assert f_exact(0.25, 4, 1.0, 9.0, cache) == f_exact(0.25, 4, 1.0, 9.0)
+        with pytest.raises(ValueError, match="edge distance"):
+            f_exact(-1e-10, 2, 1.0, 9.0, cache)
+        # Feeds 5e-10 m further apart than contiguous pass the layout check; a
+        # user in that gap is a negative distance from its segment's left edge.
+        layout = WaveguideLayout(1.0, (0.0, 1.0 + 5e-10), 3.0)
+        users = UserSet(x=np.array([1.0 + 2e-10]), y=np.zeros(1), power_w=np.array([0.01]))
+        with pytest.raises(ValueError, match="edge distance"):
+            exact_amplitude_bound(users, layout, params_28ghz(), cache=cache)
+        assert list(cache) == [("f_exact", 0.25, 1.0, 9.0)]
+
+
 def nearest_segments_bound(users, layout, params, level):
     """Level bound from every segment's nearest point, summing each user's `level` largest amplitudes."""
     total = 0.0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import empty_placement, params_28ghz, watts_to_dbm, with_segment
 
 from swanopt.geometry import (
@@ -124,6 +126,16 @@ class TestSampleUsers:
         second = sample_users(2, 20, 20, 0.01, rng)
         assert not np.array_equal(first.x, second.x)
         assert np.array_equal(first.x, sample_users(2, 20, 20, 0.01, [5, 0]).x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 9), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+    def test_scales_as_generator_uniform(self, num_users, width, depth, seed):
+        # x then y, each scaled as Generator.uniform(-w/2, w/2) scales its unit draws.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-width / 2.0, width / 2.0, size=num_users)
+        y = rng.uniform(-depth / 2.0, depth / 2.0, size=num_users)
+        us = sample_users(num_users, width, depth, 0.01, seed)
+        assert us.x.tobytes() == x.tobytes() and us.y.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("kw", [
         dict(num_users=0, region_x_m=1, region_y_m=1, power_w=1, rng_seed=0),

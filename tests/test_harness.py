@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import PerDrawStream
 
+import swanopt.cli
 import swanopt.harness as harness
 import swanopt.optimize as optimize
 from swanopt.cli import main as cli_main
@@ -163,17 +165,11 @@ class TestDrawRealization:
     @staticmethod
     def redraw_oracle(config, num_users, realization, extent, cap):
         """Redraw from a fresh stream until every projection is inside; None past the cap."""
-        rng = np.random.default_rng([config.master_seed, realization])
-        users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, rng)
+        stream = PerDrawStream(config, num_users, realization)
         if extent is None:
-            return users, users, 0
-        bound_users, redraws = users, 0
-        while np.any(bound_users.x < extent[0]) or np.any(bound_users.x > extent[1]):
-            if redraws == cap:
-                return None
-            bound_users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, rng)
-            redraws += 1
-        return users, bound_users, redraws
+            return stream.users, stream.users, 0
+        found = stream.inside(*extent, cap)
+        return None if found is None else (stream.users, *found)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -211,6 +207,38 @@ class TestDrawRealization:
                     for a, b in zip(got[:2], want[:2]):
                         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
                         assert np.array_equal(a.power_w, b.power_w)
+
+
+class TestBlockStream:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        num_users=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        region=st.tuples(st.floats(1.0, 50.0), st.floats(1.0, 50.0)),
+        cap=st.integers(0, 300),
+        # (left end, width) as fractions of region_x_m, in the order the points ask for them
+        extents=st.lists(st.tuples(st.floats(-0.6, 0.2), st.floats(0.05, 1.2)), min_size=1, max_size=8),
+    )
+    def test_blocks_match_one_sample_users_call_per_draw(self, num_users, seed, region, cap, extents):
+        # The stream's block draws give the same accepted draw, index and
+        # bytes as one `sample_users` call per draw, and fail at the same cap.
+        cfg = ExperimentConfig(region_x_m=region[0], region_y_m=region[1], master_seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "MAX_REDRAWS", cap)
+            stream, oracle = _UserStream(cfg, num_users, 2), PerDrawStream(cfg, num_users, 2)
+            for left, width in extents:
+                extent = (region[0] * left, region[0] * (left + width))
+                want = oracle.inside(*extent, cap)
+                if want is None:
+                    with pytest.raises(ValueError, match=f"within {cap} redraws"):
+                        stream.inside(*extent)
+                else:
+                    users, j = stream.inside(*extent)
+                    assert j == want[1]
+                    for got, expected in ((users, want[0]), (stream.users, oracle.users)):
+                        assert got.x.tobytes() == expected.x.tobytes() and got.y.tobytes() == expected.y.tobytes()
+                        assert got.power_w.tobytes() == expected.power_w.tobytes()
+                assert len(stream.draws) <= cap + 1
 
 
 class TestSweepEngine:
@@ -627,6 +655,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert key in captured.err and not out.exists()
 
+    def test_out_of_memory_exits_2_naming_the_size_keys(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setitem(swanopt.cli._RUNNERS, "segment-sweep", exhausted)
+        cfg = self.write_config(tmp_path, CONFIG_TEXT)
+        out = tmp_path / "run.csv"
+        assert cli_main(["segment-sweep", "--config", cfg, "--output", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "745. GiB" in err
+        assert all(key in err for key in ("grid_points", "num_users", "realizations")) and not out.exists()
+
     @pytest.mark.parametrize("key, value, reason", [
         ("num_users", "1.5", "invalid literal for int() with base 10: '1.5'"),
         ("realizations", "1e3", "invalid literal for int() with base 10: '1e3'"),
@@ -770,7 +810,9 @@ def tiny_configs(draw):
         values.update(num_segments=draw(st.integers(1, 4)),
                       user_sweep=tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
     spacing_key = draw(st.sampled_from(["min_spacing_m", "min_spacing_wavelengths"]))  # not both
-    for key in (k for k, parse in harness._PARSERS.items() if parse is float):
+    float_keys = [k for k, parse in harness._PARSERS.items() if parse is float]
+    assert float_keys, "no config key parses as float, so no float value would be drawn"
+    for key in float_keys:
         if key.startswith("min_spacing") and key != spacing_key:
             continue
         if draw(st.integers(0, 2)) == 0:  # a third of the keys, so that some configs run
