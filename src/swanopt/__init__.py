@@ -31,7 +31,6 @@ from .harness import (
     SCHEMES,
     ExperimentConfig,
     SweepResult,
-    SweepRow,
     run_bound_sweep,
     run_segment_sweep,
     run_single,

@@ -77,35 +77,29 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class WaveguideLayout:
-    """Contiguous waveguide segments deployed along the x-axis at fixed height.
+    """M contiguous waveguide segments of length L along the x-axis at fixed height.
 
-    `feed_x[m]` is the x-coordinate of segment m's feed point, which sits at
-    the left end of the segment; the segment spans [feed_x[m], feed_x[m] + L].
-    Segments are contiguous: consecutive feed points are exactly one segment
-    length apart.
+    Segment m's feed point, at its left end, is `feed_x[m] = start_x + m * L`;
+    the segment spans [feed_x[m], feed_x[m] + L].
     """
 
+    num_segments: int
     segment_length_m: float
-    feed_x: tuple[float, ...]
     height_m: float
+    start_x: float
 
     def __post_init__(self):
-        object.__setattr__(self, "feed_x", tuple(float(x) for x in self.feed_x))
+        if self.num_segments < 1:
+            raise ValueError("num_segments must be at least 1")
         if self.segment_length_m <= 0:
             raise ValueError("segment_length_m must be positive")
         if self.height_m <= 0:
             raise ValueError("height_m must be positive")
-        if len(self.feed_x) < 1:
-            raise ValueError("layout needs at least one segment")
-        diffs = np.diff(self.feed_x)
-        if len(diffs) and not np.all(diffs > 0):
-            raise ValueError("feed_x must be strictly increasing")
-        if len(diffs) and not np.allclose(diffs, self.segment_length_m, rtol=1e-9, atol=1e-9 * self.segment_length_m):
-            raise ValueError("segments must be contiguous (feed spacing equal to segment length)")
 
-    @property
-    def num_segments(self) -> int:
-        return len(self.feed_x)
+    @cached_property
+    def feed_x(self) -> tuple[float, ...]:
+        """Feed-point x-coordinate of every segment, in segment order."""
+        return tuple(self.start_x + m * self.segment_length_m for m in range(self.num_segments))
 
     def segment_interval(self, segment: int) -> tuple[float, float]:
         """Closed interval [lo, hi] of admissible antenna positions in a segment."""
@@ -210,22 +204,13 @@ class Placement:
                 raise ValueError("minimum antenna spacing violated")
 
 
-def build_centered_layout(
-    num_segments: int,
-    segment_length_m: float,
-    height_m: float,
-    region_center_x: float = 0.0,
-) -> WaveguideLayout:
-    """Build a contiguous layout centered above `region_center_x`.
+def build_centered_layout(num_segments: int, segment_length_m: float, height_m: float) -> WaveguideLayout:
+    """Build a contiguous layout centered above x = 0.
 
-    Segment m's feed point lands at center - M*L/2 + m*L, so the M segments
-    jointly cover [center - M*L/2, center + M*L/2].
+    Segment m's feed point lands at -M*L/2 + m*L, so the M segments jointly
+    cover [-M*L/2, M*L/2].
     """
-    if num_segments < 1:
-        raise ValueError("num_segments must be at least 1")
-    start = region_center_x - num_segments * segment_length_m / 2.0
-    feeds = tuple(start + m * segment_length_m for m in range(num_segments))
-    return WaveguideLayout(segment_length_m=segment_length_m, feed_x=feeds, height_m=height_m)
+    return WaveguideLayout(num_segments, segment_length_m, height_m, 0.0 - num_segments * segment_length_m / 2.0)
 
 
 def centered_uniform(u, width):

@@ -93,9 +93,10 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name, lowest in (("realizations", 1), ("master_seed", 0), ("grid_points", 2), ("ao_tol", 0),
-                             ("ao_max_iter", 0)):
-            if getattr(self, name) < lowest:
+        for name, lowest in (("realizations", 1), ("num_users", 1), ("num_segments", 1), ("master_seed", 0),
+                             ("grid_points", 2), ("ao_tol", 0), ("ao_max_iter", 0)):
+            value = getattr(self, name)
+            if value is not None and value < lowest:
                 raise ValueError(f"{name} must be {f'at least {lowest}' if lowest else 'nonnegative'}")
         if not self.schemes:
             raise ValueError("schemes must be nonempty")
@@ -251,31 +252,23 @@ def _parse_config_text(text: str) -> dict:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    sweep_var: str
-    sweep_value: int
-    scheme: str
-    mean_rate: float
-    std_rate: float
-    n_real: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class SweepResult:
+    """Every rate of a sweep.
+
+    `rates[p, i, r]` is scheme `schemes[i]`'s rate at sweep point p (where
+    the swept variable `sweep_var` is `values[p]`) in realization r, and
+    `redraws[p, r]` is the index of the draw the bound schemes got there
+    (0 without bound schemes). `seed` is the master seed, and `config_hash`
+    the sha256 of the config's canonical text.
+    """
+
     sweep_var: str
-    rows: tuple[SweepRow, ...]
-    resample_counts: dict
+    values: tuple[int, ...]
+    schemes: tuple[str, ...]
+    rates: np.ndarray
+    redraws: np.ndarray
+    seed: int
     config_hash: str
-
-    def row(self, sweep_value: int, scheme: str) -> SweepRow:
-        for r in self.rows:
-            if r.sweep_value == sweep_value and r.scheme == scheme:
-                return r
-        raise KeyError((sweep_value, scheme))
-
-    def means(self, scheme: str) -> np.ndarray:
-        return np.array([r.mean_rate for r in self.rows if r.scheme == scheme])
 
 
 def _fmt(value: float) -> str:
@@ -283,11 +276,14 @@ def _fmt(value: float) -> str:
 
 
 def sweep_csv_text(result: SweepResult) -> str:
+    """One row per (point, scheme): the mean and sample standard deviation of its rates over the realizations."""
     lines = [CSV_HEADER]
-    for r in result.rows:
-        lines.append(
-            f"{r.sweep_var},{r.sweep_value},{r.scheme},{_fmt(r.mean_rate)},{_fmt(r.std_rate)},{r.n_real},{r.seed}"
-        )
+    n_real = result.rates.shape[2]
+    for value, point_rates in zip(result.values, result.rates):
+        for scheme, vals in zip(result.schemes, point_rates):
+            std = float(np.std(vals, ddof=1)) if n_real > 1 else 0.0
+            lines.append(f"{result.sweep_var},{value},{scheme},{_fmt(float(np.mean(vals)))},{_fmt(std)},{n_real},"
+                         f"{result.seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -308,7 +304,8 @@ def _write_with_sidecar(path, csv_text: str, config_hash: str, sweep_var: str, r
 def write_sweep_result(result: SweepResult, path) -> str:
     """Write the CSV (17 significant digits) plus a metadata sidecar; returns the CSV text."""
     text = sweep_csv_text(result)
-    _write_with_sidecar(path, text, result.config_hash, result.sweep_var, result.resample_counts)
+    resample_counts = {value: int(point_redraws.sum()) for value, point_redraws in zip(result.values, result.redraws)}
+    _write_with_sidecar(path, text, result.config_hash, result.sweep_var, resample_counts)
     return text
 
 
@@ -419,8 +416,9 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     params = config.system_params()
     needs_bound_users = any(s in _BOUND_SCHEMES for s in config.schemes)
     layouts = [config.layout_for(num_segments) for _, num_segments, _ in points]
-    wheres = [f"{sweep_var} = {value}" for value, _, _ in points]
-    narrow = [value for (value, _, _), layout in zip(points, layouts)
+    values = tuple(value for value, _, _ in points)
+    wheres = [f"{sweep_var} = {value}" for value in values]
+    narrow = [value for value, layout in zip(values, layouts)
               if layout.extent[1] - layout.extent[0] < config.region_x_m * (1 - 1e-12)]
     if needs_bound_users and narrow:
         warnings.warn(f"waveguide coverage is narrower than the {config.region_x_m:.6g} m user region at "
@@ -440,15 +438,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
             for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
                 _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, stream.cache, where)
-    rows = []
-    resample_counts = {}
-    for (value, _, _), point_rates, point_redraws in zip(points, rates, redraws):
-        resample_counts[value] = int(point_redraws.sum())
-        for scheme, vals in zip(config.schemes, point_rates):
-            std = float(np.std(vals, ddof=1)) if config.realizations > 1 else 0.0
-            rows.append(SweepRow(sweep_var, value, scheme, float(np.mean(vals)), std,
-                                 config.realizations, config.master_seed))
-    return SweepResult(sweep_var, tuple(rows), resample_counts, config.config_hash())
+    return SweepResult(sweep_var, values, config.schemes, rates, redraws, config.master_seed, config.config_hash())
 
 
 def run_bound_sweep(config: ExperimentConfig) -> SweepResult:

@@ -8,6 +8,7 @@ import numpy as np
 from swanopt.bound import split_for_user, user_gain_bound
 from swanopt.channel import segment_gains
 from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, sample_users
+from swanopt.harness import SweepResult, sweep_csv_text
 from swanopt.optimize import (
     FULL_SA_MAX_SWEEPS,
     _infeasible_mask,
@@ -251,3 +252,37 @@ def exhaustive_zero_phase_rate(users, layout, params, grid_points) -> float:
             snr = (users.power_w[:, None] * np.abs(h) ** 2).sum(axis=0) / params.noise_power_w
             best = max(best, float(np.log2(1.0 + snr[feasible].max())))
     return best
+
+
+class Row(NamedTuple):
+    """One row of a sweep's CSV, its cells parsed back to numbers."""
+
+    sweep_var: str
+    sweep_value: int
+    scheme: str
+    mean_rate: float
+    std_rate: float
+    n_real: int
+    seed: int
+
+
+def rows(result: SweepResult) -> list[Row]:
+    """The rows of a sweep's CSV; a 17-digit cell parses back to the double it was written from."""
+    parsed = []
+    for line in sweep_csv_text(result).splitlines()[1:]:
+        var, value, scheme, mean, std, n_real, seed = line.split(",")
+        parsed.append(Row(var, int(value), scheme, float(mean), float(std), int(n_real), int(seed)))
+    return parsed
+
+
+def row(result: SweepResult, sweep_value: int, scheme: str) -> Row:
+    """The first CSV row of a sweep point and scheme."""
+    for r in rows(result):
+        if r.sweep_value == sweep_value and r.scheme == scheme:
+            return r
+    raise KeyError((sweep_value, scheme))
+
+
+def means(result: SweepResult, scheme: str) -> np.ndarray:
+    """A scheme's CSV means in sweep order."""
+    return np.array([r.mean_rate for r in rows(result) if r.scheme == scheme])

@@ -26,6 +26,7 @@ import time
 import numpy as np
 import pytest
 from oracles import element_update, empty_placement, exhaustive_zero_phase_rate, quadratic_objective, with_segment
+from oracles import means as csv_means
 
 from swanopt.bound import exact_amplitude_bound, f_exact, f_integral, sum_rate_bound, user_gain_bound
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate
@@ -63,7 +64,7 @@ def bound_sweep():
 def test_c01_bound_curves_have_interior_maximum(bound_sweep):
     result, _ = bound_sweep
     for scheme in ("bound-exact", "bound-integral"):
-        means = result.means(scheme)
+        means = csv_means(result, scheme)
         m_star = int(np.argmax(means)) + 1
         assert 2 <= m_star <= 119, f"{scheme} peaks at the sweep edge (M*={m_star})"
         assert means[119] < means.max()
@@ -81,7 +82,7 @@ def test_c01_drop_at_sweep_end_reaches_five_percent(bound_sweep):
     result, _ = bound_sweep
     drops = {}
     for scheme in ("bound-exact", "bound-integral"):
-        means = result.means(scheme)
+        means = csv_means(result, scheme)
         drops[scheme] = (means.max() - means[119]) / means.max()
     print(f"[C1] FAIL (expected): drop at M=120: "
           + ", ".join(f"{s}={d:.3%}" for s, d in drops.items()) + " (< 5%)")
@@ -286,8 +287,8 @@ def segment_sweep_desk():
 
 def test_c07_phase_shifter_greedy_beats_its_baseline(segment_sweep_desk):
     result, _ = segment_sweep_desk
-    greedy = result.means("hssa-2")
-    baseline = result.means("full-sa-2")
+    greedy = csv_means(result, "hssa-2")
+    baseline = csv_means(result, "full-sa-2")
     margin = greedy - baseline
     assert np.all(margin >= 0), f"greedy loses at sweep points {np.where(margin < 0)[0]}"
     print(f"[C7] PASS: phase-shifter greedy above its baseline at all 10 sweep points "
@@ -303,7 +304,7 @@ def test_c07_phase_shifter_greedy_beats_its_baseline(segment_sweep_desk):
 )
 def test_c07_switch_only_greedy_beats_its_baseline(segment_sweep_desk):
     result, _ = segment_sweep_desk
-    margin = result.means("hssa-1") - result.means("full-sa-1")
+    margin = csv_means(result, "hssa-1") - csv_means(result, "full-sa-1")
     print(f"[C7] FAIL (expected): switch-only margins over the sweep: "
           + " ".join(f"{v:+.3f}" for v in margin))
     assert np.all(margin >= 0)
@@ -312,7 +313,7 @@ def test_c07_switch_only_greedy_beats_its_baseline(segment_sweep_desk):
 def test_c07_full_activation_baselines_peak_inside_the_sweep(segment_sweep_desk):
     result, _ = segment_sweep_desk
     for scheme in ("full-sa-1", "full-sa-2"):
-        means = result.means(scheme)
+        means = csv_means(result, scheme)
         peak_index = int(np.argmax(means))
         assert 0 < peak_index < len(means) - 1, f"{scheme} peaks at the sweep edge"
         print(f"[C7] PASS: {scheme} mean peaks at M={4 * (peak_index + 1)} (interior)")
@@ -343,14 +344,14 @@ def user_sweep_desk():
 
 def test_c08_rates_nondecreasing_in_user_count(user_sweep_desk):
     for scheme in OPTIMIZER_SCHEMES:
-        means = user_sweep_desk.means(scheme)
+        means = csv_means(user_sweep_desk, scheme)
         assert np.all(np.diff(means) >= 0), f"{scheme} mean rate drops as users are added"
     print("[C8] PASS: every scheme's mean rate nondecreasing over K=1..6")
 
 
 def test_c08_phase_shifters_dominate_within_each_family(user_sweep_desk):
-    g = user_sweep_desk.means("hssa-2") - user_sweep_desk.means("hssa-1")
-    b = user_sweep_desk.means("full-sa-2") - user_sweep_desk.means("full-sa-1")
+    g = csv_means(user_sweep_desk, "hssa-2") - csv_means(user_sweep_desk, "hssa-1")
+    b = csv_means(user_sweep_desk, "full-sa-2") - csv_means(user_sweep_desk, "full-sa-1")
     assert np.all(g >= 0) and np.all(b >= 0)
     print(f"[C8] PASS: phase shifters never hurt: greedy margins {g.min():+.4f}..{g.max():+.4f}, "
           f"baseline margins {b.min():+.4f}..{b.max():+.4f} bits/s/Hz")

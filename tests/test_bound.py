@@ -47,24 +47,24 @@ from swanopt.optimize import greedy_hssa_type1, greedy_hssa_type2
 
 class TestSplitForUser:
     def test_midpoint_of_middle_segment(self):
-        lay = WaveguideLayout(1.0, (-1.5, -0.5, 0.5), 3.0)
+        lay = WaveguideLayout(3, 1.0, 3.0, start_x=-1.5)
         m_k, delta_minus, delta_plus = split_for_user(0.0, lay)
         assert (m_k, lay.num_segments - 1 - m_k) == (1, 1)
         assert delta_minus == pytest.approx(0.5) and delta_plus == pytest.approx(0.5)
 
     def test_left_edge(self):
-        lay = WaveguideLayout(1.0, (-1.5, -0.5, 0.5), 3.0)
+        lay = WaveguideLayout(3, 1.0, 3.0, start_x=-1.5)
         m_k, delta_minus, _ = split_for_user(-1.5, lay)
         assert (m_k, delta_minus) == (0, 0.0)
 
     def test_interior_point(self):
-        lay = WaveguideLayout(1.0, (0.0, 1.0, 2.0, 3.0, 4.0), 3.0)
+        lay = WaveguideLayout(5, 1.0, 3.0, start_x=0.0)
         m_k, delta_minus, delta_plus = split_for_user(3.25, lay)
         assert (m_k, lay.num_segments - 1 - m_k) == (3, 1)
         assert delta_minus == pytest.approx(0.25) and delta_plus == pytest.approx(0.75)
 
     def test_shared_boundary_ties_to_lower_index(self):
-        lay = WaveguideLayout(1.0, (0.0, 1.0, 2.0), 3.0)
+        lay = WaveguideLayout(3, 1.0, 3.0, start_x=0.0)
         m_k, delta_minus, delta_plus = split_for_user(2.0, lay)
         assert m_k == 1
         assert delta_minus == pytest.approx(1.0) and delta_plus == pytest.approx(0.0)
@@ -102,7 +102,7 @@ def layouts_with_points(draw):
     num_segments = draw(st.integers(1, 60))
     length = draw(st.floats(1e-3, 10.0))
     start = draw(st.floats(-100.0, 100.0))
-    layout = WaveguideLayout(length, tuple(start + m * length for m in range(num_segments)), 3.0)
+    layout = WaveguideLayout(num_segments, length, 3.0, start)
     lo, hi = layout.extent
     edges = sorted(set(layout.feed_x) | {x + length for x in layout.feed_x})
     points = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(lo, hi)), max_size=12))
@@ -210,7 +210,7 @@ class TestRateBounds:
     def test_exact_bound_composes_from_cascaded_magnitudes(self):
         # Three segments, user centered: antennas at the projection and at the
         # two nearest segment edges; coherent combining of those magnitudes.
-        lay = WaveguideLayout(1.0, (-1.5, -0.5, 0.5), 3.0)
+        lay = WaveguideLayout(3, 1.0, 3.0, start_x=-1.5)
         user = User(0.0, 0.0, 0.01)
         users = UserSet(x=np.zeros(1), y=np.zeros(1), power_w=np.array([0.01]))
         amps = (
@@ -296,8 +296,7 @@ def layouts_with_users(draw, max_segments=150, max_users=8):
     num_segments = draw(st.integers(1, max_segments))
     length = draw(st.floats(0.05, 10.0))
     start = draw(st.floats(-50.0, 50.0))
-    layout = WaveguideLayout(length, tuple(start + m * length for m in range(num_segments)),
-                             draw(st.floats(0.2, 10.0)))
+    layout = WaveguideLayout(num_segments, length, draw(st.floats(0.2, 10.0)), start)
     lo, hi = layout.extent
     edges = [lo, hi, *(x + length for x in layout.feed_x[:-1])]
     num_users = draw(st.integers(1, max_users))
@@ -361,12 +360,6 @@ class TestExactBoundTermCache:
         assert f_exact(0.25, 4, 1.0, 9.0, cache) == f_exact(0.25, 4, 1.0, 9.0)
         with pytest.raises(ValueError, match="edge distance"):
             f_exact(-1e-10, 2, 1.0, 9.0, cache)
-        # Feeds 5e-10 m further apart than contiguous pass the layout check; a
-        # user in that gap is a negative distance from its segment's left edge.
-        layout = WaveguideLayout(1.0, (0.0, 1.0 + 5e-10), 3.0)
-        users = UserSet(x=np.array([1.0 + 2e-10]), y=np.zeros(1), power_w=np.array([0.01]))
-        with pytest.raises(ValueError, match="edge distance"):
-            exact_amplitude_bound(users, layout, params_28ghz(), cache=cache)
         assert list(cache) == [("f_exact", 0.25, 1.0, 9.0)]
 
 

@@ -57,15 +57,15 @@ class TestSystemParams:
 
 class TestLayout:
     def test_single_segment_centered(self):
-        lay = build_centered_layout(1, 1.0, 3.0, region_center_x=0.0)
+        lay = build_centered_layout(1, 1.0, 3.0)
         assert lay.feed_x == (-0.5,)
 
     def test_four_segments_centered(self):
-        lay = build_centered_layout(4, 1.0, 3.0, region_center_x=0.0)
+        lay = build_centered_layout(4, 1.0, 3.0)
         assert lay.feed_x == (-2.0, -1.0, 0.0, 1.0)
 
     def test_twenty_segments_cover_region(self):
-        lay = build_centered_layout(20, 1.0, 3.0, region_center_x=10.0)
+        lay = WaveguideLayout(20, 1.0, 3.0, start_x=0.0)
         assert lay.feed_x == tuple(float(i) for i in range(20))
         lo, hi = lay.extent
         assert (lo, hi) == (0.0, 20.0)
@@ -88,12 +88,6 @@ class TestLayout:
     def test_rejects_bad_arguments(self, kw):
         with pytest.raises(ValueError):
             build_centered_layout(**kw)
-
-    def test_rejects_non_contiguous_feeds(self):
-        with pytest.raises(ValueError):
-            WaveguideLayout(segment_length_m=1.0, feed_x=(0.0, 1.5), height_m=3.0)
-        with pytest.raises(ValueError):
-            WaveguideLayout(segment_length_m=1.0, feed_x=(1.0, 0.0), height_m=3.0)
 
 
 class TestSampleUsers:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import PerDrawStream
+from oracles import PerDrawStream, row, rows
 
 import swanopt.cli
 import swanopt.harness as harness
@@ -104,6 +104,8 @@ class TestConfigParsing:
         "master_seed = -1\n",
         "region_y_m = 0\n",
         "height_m = -3\n",
+        "num_users = 0\nsegment_sweep = 2\n",
+        "num_segments = 0\nsegment_sweep = 2\n",
         "kappa_db_per_m = 1e308\nsegment_length_m = 2\n",  # the attenuation over a segment overflows
     ])
     def test_invalid_values_rejected(self, text):
@@ -250,10 +252,10 @@ class TestSweepEngine:
 
     def test_row_grid_is_complete_and_ordered(self):
         res = run_segment_sweep(self.make_config())
-        assert len(res.rows) == 4
-        assert [(r.sweep_value, r.scheme) for r in res.rows] == [
+        assert len(rows(res)) == 4
+        assert [(r.sweep_value, r.scheme) for r in rows(res)] == [
             (2, "hssa-1"), (2, "full-sa-1"), (3, "hssa-1"), (3, "full-sa-1")]
-        assert all(r.sweep_var == "M" and r.n_real == 2 and r.seed == 11 for r in res.rows)
+        assert all(r.sweep_var == "M" and r.n_real == 2 and r.seed == 11 for r in rows(res))
 
     def test_reruns_are_byte_identical(self):
         cfg = self.make_config()
@@ -267,22 +269,22 @@ class TestSweepEngine:
         with_bounds = run_segment_sweep(self.make_config(schemes=("bound-integral", "hssa-1")))
         without = run_segment_sweep(self.make_config(schemes=("hssa-1",)))
         for m in (2, 3):
-            assert with_bounds.row(m, "hssa-1").mean_rate == without.row(m, "hssa-1").mean_rate
-        assert any(v > 0 for v in with_bounds.resample_counts.values())
-        assert all(v == 0 for v in without.resample_counts.values())
+            assert row(with_bounds, m, "hssa-1").mean_rate == row(without, m, "hssa-1").mean_rate
+        assert any(v > 0 for v in with_bounds.redraws.sum(axis=1))
+        assert all(v == 0 for v in without.redraws.sum(axis=1))
 
     def test_bound_scheme_dominates_optimizers_with_paired_seeds(self):
         res = run_segment_sweep(self.make_config(
             segment_sweep=(20,), schemes=("bound-exact", "hssa-1", "full-sa-1"), realizations=3))
-        cap = res.row(20, "bound-exact").mean_rate
-        assert res.row(20, "hssa-1").mean_rate <= cap
-        assert res.row(20, "full-sa-1").mean_rate <= cap
+        cap = row(res, 20, "bound-exact").mean_rate
+        assert row(res, 20, "hssa-1").mean_rate <= cap
+        assert row(res, 20, "full-sa-1").mean_rate <= cap
 
     def test_bound_sweep_requires_a_bound_scheme(self):
         with pytest.raises(ValueError, match="bound"):
             run_bound_sweep(self.make_config())
         res = run_bound_sweep(self.make_config(schemes=("bound-integral",), segment_sweep=(4, 5)))
-        assert [r.scheme for r in res.rows] == ["bound-integral", "bound-integral"]
+        assert [r.scheme for r in rows(res)] == ["bound-integral", "bound-integral"]
 
     def test_missing_sweep_or_users_rejected(self):
         with pytest.raises(ValueError, match="segment_sweep"):
@@ -316,7 +318,8 @@ class TestSweepEngine:
             run_single(replace(cfg, num_segments=5))  # both greedy schemes share one table
             assert len(calls) == 5
         monkeypatch.setattr(optimize, "_cached", lambda cache, key, compute: compute())
-        assert run_segment_sweep(cfg) == shared  # each scheme building its own table
+        alone = run_segment_sweep(cfg)  # each scheme building its own table
+        assert np.array_equal(alone.rates, shared.rates) and np.array_equal(alone.redraws, shared.redraws)
 
     @pytest.mark.parametrize("sweep, spacing, intervals, midpoint_intervals", [
         ((2, 1, 4, 2), None, 5, 5),  # the intervals of M = 2 are among those of M = 4
@@ -382,8 +385,8 @@ class TestSweepEngine:
                                realizations=10, schemes=("hssa-1", "hssa-2"))
         res = run_segment_sweep(cfg)
         for scheme in cfg.schemes:
-            rows = [res.row(m, scheme) for m in (2, 4, 6, 8)]
-            for earlier, later in zip(rows, rows[1:]):
+            point_rows = [row(res, m, scheme) for m in (2, 4, 6, 8)]
+            for earlier, later in zip(point_rows, point_rows[1:]):
                 slack = 2 * earlier.std_rate / np.sqrt(earlier.n_real)
                 assert later.mean_rate >= earlier.mean_rate - slack
 
@@ -400,9 +403,9 @@ class TestSweepEngine:
             res = run(cfg)
             for value in getattr(cfg, field):
                 alone = run(replace(cfg, **{field: (value,)}))
-                assert [res.row(value, s) for s in cfg.schemes] == [alone.row(value, s) for s in cfg.schemes]
-                assert res.resample_counts[value] == alone.resample_counts[value]
-        assert res.resample_counts[2] > 0
+                assert [row(res, value, s) for s in cfg.schemes] == [row(alone, value, s) for s in cfg.schemes]
+                assert res.redraws[res.values.index(value)].sum() == alone.redraws.sum()
+        assert res.redraws[res.values.index(2)].sum() > 0
 
     def test_one_user_stream_alive_at_a_time(self, monkeypatch):
         live = weakref.WeakSet()
@@ -419,7 +422,7 @@ class TestSweepEngine:
                                         realizations=3, schemes=("bound-exact", "hssa-1")))
         assert len(most) == 3 * 3 and max(most) == 1
 
-    def test_each_scheme_runs_once_per_point_and_realization(self, monkeypatch):
+    def test_each_scheme_runs_once_per_point_and_realization(self, tmp_path, monkeypatch):
         # Record every call of the five scheme functions as the harness makes
         # it, by CSV label and segment count: the users it got and its rate.
         labels = {"exact_amplitude_bound": "bound-exact", "sum_rate_bound": "bound-integral",
@@ -449,14 +452,19 @@ class TestSweepEngine:
             assert len(seen) == 2 and len(users) == 2  # one call in each realization
             if not scheme.startswith("bound-"):
                 assert users == draws
-            assert res.row(m, scheme).mean_rate == np.mean([rate for _, rate in seen])
+            assert row(res, m, scheme).mean_rate == np.mean([rate for _, rate in seen])
+            assert [rate for _, rate in seen] == list(res.rates[res.values.index(m), res.schemes.index(scheme)])
+        write_sweep_result(res, tmp_path / "sweep.csv")
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text(encoding="utf-8"))
+        assert res.redraws.sum() > 0
+        assert meta["resample_counts"] == {str(m): int(counts.sum()) for m, counts in zip(res.values, res.redraws)}
 
     def test_user_sweep_single_user_point_matches_segment_sweep(self):
         ucfg = self.make_config(segment_sweep=None, num_segments=4, num_users=None,
                                 user_sweep=(1,), schemes=("hssa-1",))
         scfg = self.make_config(segment_sweep=(4,), num_users=1, schemes=("hssa-1",))
-        urow = run_user_sweep(ucfg).row(1, "hssa-1")
-        srow = run_segment_sweep(scfg).row(4, "hssa-1")
+        urow = row(run_user_sweep(ucfg), 1, "hssa-1")
+        srow = row(run_segment_sweep(scfg), 4, "hssa-1")
         assert urow.mean_rate == srow.mean_rate
         assert urow.sweep_var == "K" and srow.sweep_var == "M"
 
@@ -564,6 +572,21 @@ class TestBenchmarkReferences:
             assert trace.grid_searches == len(trace.levels) * (len(trace.levels) + 1) // 2
 
 
+class TestNonNestingReferences:
+    # Six-scheme sweeps of 0.3 m segments, whose layouts do not nest, with
+    # bound redraws and repeated points; their CSVs and sidecars were
+    # recorded with the configs beside them and must keep their bytes.
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.mark.parametrize("command, name", [("segment-sweep", "nonnesting_segment_sweep"),
+                                               ("user-sweep", "nonnesting_user_sweep")])
+    def test_cli_reproduces_reference_bytes(self, tmp_path, monkeypatch, command, name):
+        monkeypatch.chdir(tmp_path)  # the config's relative output path enters the sidecar's config hash
+        assert cli_main([command, "--config", str(self.DATA / f"{name}.cfg"), "--quiet"]) == 0
+        for suffix in (".csv", ".csv.meta.json"):
+            assert (tmp_path / f"{name}{suffix}").read_bytes() == (self.DATA / f"{name}{suffix}").read_bytes()
+
+
 class TestPersistence:
     def test_csv_and_sidecar_written(self, tmp_path):
         cfg = ExperimentConfig(num_users=1, segment_sweep=(2,), grid_points=20,
@@ -586,7 +609,7 @@ class TestPersistence:
                                realizations=2, schemes=("hssa-1",))
         res = run_segment_sweep(cfg)
         cell = sweep_csv_text(res).strip().split("\n")[1].split(",")[3]
-        assert float(cell) == res.rows[0].mean_rate
+        assert float(cell) == np.mean(res.rates[0, 0])
 
 
 class TestCli:
@@ -647,6 +670,7 @@ class TestCli:
         ("master_seed = -1\n", [], "master_seed"),
         ("", ["--seed", "-1"], "master_seed"),
         ("schemes = hssa-1, bound-exact, hssa-1\n", [], "schemes"),
+        ("num_segments = 0\n", [], "num_segments"),
     ])
     def test_bad_seed_or_repeated_scheme_reports_error(self, tmp_path, capsys, text, flags, key):
         cfg = self.write_config(tmp_path, "num_users = 1\nsegment_sweep = 2\ngrid_points = 20\n" + text)
@@ -828,9 +852,11 @@ def sweep_outcome(values):
     except ValueError:
         return None
     points = config.segment_sweep or config.user_sweep
-    assert len(result.rows) == len(points) * len(harness.SCHEMES)
-    for row in result.rows:
-        assert math.isfinite(row.mean_rate) and row.mean_rate > 0 and row.std_rate == 0.0
+    assert result.rates.shape == (len(points), len(harness.SCHEMES), 1)
+    assert np.isfinite(result.rates).all() and (result.rates > 0).all()
+    assert len(rows(result)) == len(points) * len(harness.SCHEMES)
+    for r in rows(result):
+        assert math.isfinite(r.mean_rate) and r.mean_rate > 0 and r.std_rate == 0.0
     return sweep_csv_text(result)
 
 

@@ -62,14 +62,14 @@ def grid_search(grid, block, occupied, aggregate, n_active, users, params, align
 
 class TestCandidateGrid:
     def setup_method(self):
-        self.layout = build_centered_layout(12, 1.0, 3.0, region_center_x=11.0)
+        self.layout = WaveguideLayout(12, 1.0, 3.0, start_x=5.0)
 
     def test_two_points_are_the_endpoints(self):
-        lay = build_centered_layout(2, 1.0, 3.0, region_center_x=1.0)
+        lay = WaveguideLayout(2, 1.0, 3.0, start_x=0.0)
         assert list(candidate_grid(0, lay, 2)) == [0.0, 1.0]
 
     def test_eleven_points_tenth_steps(self):
-        lay = build_centered_layout(2, 1.0, 3.0, region_center_x=1.0)
+        lay = WaveguideLayout(2, 1.0, 3.0, start_x=0.0)
         assert candidate_grid(0, lay, 11) == pytest.approx(np.arange(0, 1.05, 0.1), abs=1e-12)
 
     def test_thousand_points_span_and_spacing(self):
@@ -125,7 +125,7 @@ class TestInfeasiblePoints:
         assert not _infeasible_mask(grid, empty_placement().position_array(), 0.2).any()
 
     def test_points_near_placed_antenna_excluded(self):
-        lay = build_centered_layout(4, 1.0, 3.0, region_center_x=2.0)
+        lay = WaveguideLayout(4, 1.0, 3.0, start_x=0.0)
         placed = with_segment(empty_placement(), 0, 1.0)
         grid = np.array([0.0, 0.5, 0.9, 1.1])
         assert list(grid[_infeasible_mask(grid, placed.position_array(), 0.2)]) == [0.9, 1.1]
@@ -134,7 +134,7 @@ class TestInfeasiblePoints:
         # A neighbor antenna parked at a shared edge can knock out at most
         # ceil(delta * (Q - 1) / L) + 1 points of the adjacent segment's grid.
         params = params_28ghz()
-        lay = build_centered_layout(2, 1.0, 3.0, region_center_x=1.0)
+        lay = WaveguideLayout(2, 1.0, 3.0, start_x=0.0)
         placed = with_segment(empty_placement(), 0, 1.0)
         for q in (100, 1000):
             grid = candidate_grid(1, lay, q)
@@ -694,7 +694,7 @@ class TestSharedTable:
         seg_len, height = layout.segment_length_m, layout.height_m
         # One cache filled by the scenario's layout, a layout it nests in
         # (one more segment) and a layout of 0.3 m segments.
-        nesting = WaveguideLayout(seg_len, (*layout.feed_x, layout.feed_x[-1] + seg_len), height)
+        nesting = WaveguideLayout(layout.num_segments + 1, seg_len, height, layout.start_x)
         layouts = (layout, nesting, build_centered_layout(layout.num_segments, 0.3, height))
         cache = {}
         for lay in layouts:
