@@ -34,7 +34,8 @@ def split_for_user(x: float, layout: WaveguideLayout) -> tuple[int, float, float
     containing x (so m_k segments lie to its left and M - 1 - m_k to its
     right) and the distances [m] from x to that segment's left and right
     edges, which sum to the segment length. Ties at shared segment
-    boundaries resolve to the lower segment index. Raises
+    boundaries resolve to the lower segment index, and a projection in a
+    rounding gap before a feed gets delta_minus = 0. Raises
     ProjectionOutOfRangeError when x is outside the waveguide extent.
     """
     lo, hi = layout.extent
@@ -42,7 +43,10 @@ def split_for_user(x: float, layout: WaveguideLayout) -> tuple[int, float, float
         raise ProjectionOutOfRangeError(f"user projection x={x} outside waveguide extent [{lo}, {hi}]")
     ends = layout.segment_ends
     m_k = bisect_left(ends, x)
-    return m_k, x - layout.feed_x[m_k], ends[m_k] - x
+    delta_minus = x - layout.feed_x[m_k]
+    if delta_minus < 0.0:  # a comparison, not max(): bound sweeps split every user of every layout
+        delta_minus = 0.0
+    return m_k, delta_minus, ends[m_k] - x
 
 
 def _inverse_distances(delta: float, n: int, length: float, d_sq: float) -> np.ndarray:

@@ -39,7 +39,7 @@ def cascaded_gain_matrix(users: UserSet, placement: Placement, layout: Waveguide
     """(K, S) matrix of cascaded gains, columns in placement activation order."""
     if not placement.active:
         raise ValueError("placement has no active segments")
-    cols = [segment_gains(users, m, placement.positions[m], layout, params) for m in placement.active]
+    cols = [segment_gains(users, m, x, layout, params) for m, x in zip(placement.active, placement.positions)]
     return np.stack(cols, axis=1)
 
 
@@ -55,5 +55,5 @@ def sum_rate(channels, users: UserSet, params: SystemParams) -> float:
 def placement_sum_rate(users: UserSet, placement: Placement, layout: WaveguideLayout, params: SystemParams) -> float:
     """Sum-rate achieved by a placement, vectorized over users."""
     g = cascaded_gain_matrix(users, placement, layout, params)
-    v = np.exp(1j * placement.phase_array())
+    v = np.exp(1j * np.array(placement.phases))
     return sum_rate(g @ v / np.sqrt(placement.num_active), users, params)

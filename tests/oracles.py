@@ -88,9 +88,9 @@ def effective_channel(placement: Placement, user: User, layout: WaveguideLayout,
     if not placement.active:
         raise ValueError("placement has no active segments")
     total = 0.0 + 0.0j
-    for m in placement.active:
-        g = cascaded_gain(user, m, placement.positions[m], layout, params)
-        total += np.exp(1j * placement.phases[m]) * g
+    for m, x, phase in zip(placement.active, placement.positions, placement.phases):
+        g = cascaded_gain(user, m, x, layout, params)
+        total += np.exp(1j * phase) * g
     return complex(total / np.sqrt(placement.num_active))
 
 
@@ -114,18 +114,28 @@ def element_update(a: np.ndarray, v: np.ndarray, m: int):
 
 def empty_placement() -> Placement:
     """A placement with no active segment."""
-    return Placement(active=(), positions={}, phases={})
+    return Placement(active=(), positions=(), phases=())
 
 
 def with_segment(placement: Placement, segment: int, position: float, phase: float = 0.0) -> Placement:
     """Return a new placement with one more activated segment."""
-    if segment in placement.positions:
+    if segment in placement.active:
         raise ValueError(f"segment {segment} is already active")
     return Placement(
         active=placement.active + (segment,),
-        positions={**placement.positions, segment: float(position)},
-        phases={**placement.phases, segment: float(phase)},
+        positions=placement.positions + (float(position),),
+        phases=placement.phases + (float(phase),),
     )
+
+
+def spacing_violated(positions, min_spacing_m: float) -> bool:
+    """Whether any two positions are closer than `min_spacing_m`, over the all-pairs gap matrix."""
+    pos = np.asarray(positions, dtype=float)
+    if len(pos) < 2:
+        return False
+    gaps = np.abs(pos[:, None] - pos[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return bool(gaps.min() < min_spacing_m)
 
 
 def f_exact_sum(delta: float, n: int, length: float, d_sq: float) -> float:
@@ -225,8 +235,8 @@ def full_sa_rescan(users, layout, params, grid_points, variant="type1", tol=1e-8
             break
     placement = Placement(
         active=tuple(range(num_segments)),
-        positions={m: float(pos[m]) for m in range(num_segments)},
-        phases={m: float(phase[m]) for m in range(num_segments)},
+        positions=tuple(pos.tolist()),
+        phases=tuple(phase.tolist()),
     )
     return placement, rate
 

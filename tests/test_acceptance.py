@@ -161,7 +161,7 @@ def test_c04_bound_dominates_random_feasible_placements():
             placement = empty_placement()
             for m in segments:
                 lo, hi = layout.segment_interval(m)
-                taken = placement.position_array()
+                taken = np.array(placement.positions)
                 for _attempt in range(50):
                     x = float(rng.uniform(lo, hi))
                     if taken.size == 0 or np.min(np.abs(taken - x)) >= PARAMS.min_spacing_m:

@@ -88,11 +88,11 @@ class TestSplitForUser:
 
 
 def linear_scan_split(x, layout):
-    """The split found by scanning the segments left to right (test oracle)."""
+    """The split found by scanning the segments left to right (test oracle); a rounding gap gives offset 0."""
     L = layout.segment_length_m
     for m in range(layout.num_segments):
         if x <= layout.feed_x[m] + L:
-            return m, x - layout.feed_x[m], layout.feed_x[m] + L - x
+            return m, max(x - layout.feed_x[m], 0.0), layout.feed_x[m] + L - x
     raise AssertionError("point right of the extent")
 
 
@@ -116,6 +116,36 @@ class TestSplitForUserOracle:
         layout, points = case
         for x in points:
             assert split_for_user(x, layout) == linear_scan_split(x, layout)
+
+
+class TestLayoutRoundingGap:
+    """Projections between a segment's rounded end and the next feed, which rounds an ulp or more above it."""
+
+    def test_user_in_a_gap_gets_finite_bounds(self):
+        layout = build_centered_layout(7, 0.3, 3.0)
+        x = 0.14999999999999988
+        assert layout.segment_ends[3] < x < layout.feed_x[4]
+        users = UserSet(x=[x], y=[1.0], power_w=[1.0])
+        params = params_28ghz()
+        assert split_for_user(x, layout) == (4, 0.0, layout.segment_ends[4] - x)
+        for rate in (exact_amplitude_bound(users, layout, params), sum_rate_bound(users, layout, params)):
+            assert math.isfinite(rate) and rate > 0
+
+    def test_every_gap_of_centered_layouts_splits_to_zero_offset(self):
+        params = params_28ghz()
+        gaps = 0
+        for length in (0.1, 0.3, 0.7, 0.75, 0.8, 1.0):
+            for num_segments in range(1, 121):
+                layout = build_centered_layout(num_segments, length, 3.0)
+                for m in range(num_segments - 1):
+                    if layout.segment_ends[m] < layout.feed_x[m + 1]:
+                        gaps += 1
+                        x = float(np.nextafter(layout.segment_ends[m], np.inf))
+                        assert split_for_user(x, layout)[:2] == (m + 1, 0.0)
+                        users = UserSet(x=[x], y=[1.0], power_w=[1.0])
+                        assert math.isfinite(exact_amplitude_bound(users, layout, params))
+                        assert math.isfinite(sum_rate_bound(users, layout, params))
+        assert gaps > 0
 
 
 class TestPartialSums:
@@ -285,7 +315,7 @@ class TestRateBounds:
             for m in range(6):
                 lo, hi = lay.segment_interval(m)
                 pl = with_segment(pl, m, float(rng.uniform(lo, hi)), phase=float(rng.uniform(0, 2 * np.pi)))
-            amps = sum(abs(cascaded_gain(user, m, pl.positions[m], lay, self.params)) for m in pl.active)
+            amps = sum(abs(cascaded_gain(user, m, x, lay, self.params)) for m, x in zip(pl.active, pl.positions))
             h = effective_channel(pl, user, lay, self.params)
             assert abs(h) ** 2 <= (amps**2 / pl.num_active) * (1 + 1e-12)
 
@@ -414,13 +444,13 @@ class TestBoundDominatesFeasibleRates:
         for m in segments:
             lo, hi = layout.segment_interval(m)
             x = lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo)
-            taken = placement.position_array()
+            taken = np.array(placement.positions)
             if taken.size == 0 or np.min(np.abs(taken - x)) >= params.min_spacing_m:
                 placement = with_segment(placement, m, min(x, hi), phase=data.draw(st.floats(0.0, 2 * np.pi)))
         placement.validate(layout, params)
         # Phases aligned on the first user's gains bring its |h|^2 to the coherent value.
         aligned = np.mod(-np.angle(cascaded_gain_matrix(users, placement, layout, params)[0]), 2 * np.pi)
-        coherent = Placement(placement.active, placement.positions, dict(zip(placement.active, aligned)))
+        coherent = Placement(placement.active, placement.positions, aligned)
         for pl in (placement, coherent):
             bound = exact_amplitude_bound(users, layout, params, pl.num_active)
             assert attained(placement_sum_rate(users, pl, layout, params), bound)

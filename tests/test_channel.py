@@ -167,7 +167,7 @@ class TestEffectiveChannel:
             pl = self._random_placement(rng, phases=True)
             h = effective_channel(pl, user, self.layout, self.params)
             cap = sum(
-                abs(cascaded_gain(user, m, pl.positions[m], self.layout, self.params)) for m in pl.active
+                abs(cascaded_gain(user, m, x, self.layout, self.params)) for m, x in zip(pl.active, pl.positions)
             ) / np.sqrt(pl.num_active)
             assert abs(h) <= cap * (1 + 1e-12)
 
@@ -175,11 +175,11 @@ class TestEffectiveChannel:
         rng = np.random.default_rng(6)
         user = User(-0.2, 2.0, 0.01)
         pl = self._random_placement(rng)
-        phases = {}
+        phases = []
         total = 0.0
-        for m in pl.active:
-            g = cascaded_gain(user, m, pl.positions[m], self.layout, self.params)
-            phases[m] = float(-np.angle(g)) % (2 * np.pi)
+        for m, x in zip(pl.active, pl.positions):
+            g = cascaded_gain(user, m, x, self.layout, self.params)
+            phases.append(float(-np.angle(g)) % (2 * np.pi))
             total += abs(g)
         aligned = Placement(active=pl.active, positions=pl.positions, phases=phases)
         h = effective_channel(aligned, user, self.layout, self.params)
@@ -193,8 +193,7 @@ class TestEffectiveChannel:
         user = User(0.9, 4.0, 0.01)
         k0 = self.params.wavenumber
         total = 0.0 + 0.0j
-        for m in pl.active:
-            x = pl.positions[m]
+        for m, x in zip(pl.active, pl.positions):
             r = np.sqrt((user.x - x) ** 2 + 9.0 + user.y**2)
             ell = x - self.layout.feed_x[m]
             total += np.sqrt(self.params.eta) * np.exp(-1j * k0 * (r + 1.4 * ell)) / r

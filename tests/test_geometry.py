@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import empty_placement, params_28ghz, watts_to_dbm, with_segment
+from oracles import empty_placement, params_28ghz, spacing_violated, watts_to_dbm, with_segment
 
 from swanopt.geometry import (
     SPEED_OF_LIGHT_M_S,
@@ -181,29 +181,61 @@ class TestPlacement:
     def test_with_segment_accumulates(self):
         pl = with_segment(with_segment(empty_placement(), 2, 0.4), 0, -1.7, phase=1.0)
         assert pl.active == (2, 0)
-        assert pl.positions == {2: 0.4, 0: -1.7}
-        assert pl.phases == {2: 0.0, 0: 1.0}
+        assert pl.positions == (0.4, -1.7)
+        assert pl.phases == (0.0, 1.0)
         pl.validate(self.layout, self.params)
 
     def test_validate_rejects_position_outside_segment(self):
-        pl = Placement(active=(1,), positions={1: 0.5}, phases={1: 0.0})
+        pl = Placement(active=(1,), positions=(0.5,), phases=(0.0,))
         with pytest.raises(ValueError):
             pl.validate(self.layout, self.params)
 
     def test_validate_rejects_spacing_violation(self):
         delta = self.params.min_spacing_m
-        pl = Placement(active=(1, 2), positions={1: -0.001, 2: 0.001}, phases={1: 0.0, 2: 0.0})
+        pl = Placement(active=(1, 2), positions=(-0.001, 0.001), phases=(0.0, 0.0))
         assert 0.002 < delta
         with pytest.raises(ValueError):
             pl.validate(self.layout, self.params)
 
     def test_positions_and_phases_must_cover_active(self):
         with pytest.raises(ValueError):
-            Placement(active=(0, 1), positions={0: -1.5}, phases={0: 0.0, 1: 0.0})
+            Placement(active=(0, 1), positions=(-1.5,), phases=(0.0, 0.0))
         with pytest.raises(ValueError):
-            Placement(active=(0,), positions={0: -1.5}, phases={})
+            Placement(active=(0,), positions=(-1.5,), phases=())
 
     def test_duplicate_segment_rejected(self):
         pl = with_segment(empty_placement(), 1, -0.5)
         with pytest.raises(ValueError):
             with_segment(pl, 1, -0.4)
+        with pytest.raises(ValueError, match="distinct"):
+            Placement(active=(1, 1), positions=(-0.5, -0.4), phases=(0.0, 0.0))
+
+    def test_numpy_entries_become_python_tuples(self):
+        pl = Placement(active=np.array([2, 0]), positions=np.array([0.4, -1.7]),
+                       phases=np.array([0.0, 1.0], dtype=np.float32))
+        for field, kind in ((pl.active, int), (pl.positions, float), (pl.phases, float)):
+            assert type(field) is tuple and all(type(v) is kind for v in field)
+        assert pl == Placement(active=(2, 0), positions=(0.4, -1.7), phases=(0.0, 1.0))
+
+    def test_equal_placements_compare_and_hash_equal(self):
+        a = Placement(active=(2, 0), positions=(0.4, -1.7), phases=(0.0, 1.0))
+        b = with_segment(with_segment(empty_placement(), np.int64(2), np.float64(0.4)), 0, -1.7, phase=1.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Placement(active=(0, 2), positions=(-1.7, 0.4), phases=(1.0, 0.0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([0.25, 0.3, 1.0]), st.data())
+    def test_spacing_decision_matches_all_pairs_oracle(self, spacing, data):
+        # Segment m spans [m, m + 1] exactly, so segments m and m + 1 can share a position.
+        layout = WaveguideLayout(8, 1.0, 3.0, start_x=0.0)
+        active = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+        # Points on a grid of the spacing give gaps of exactly min_spacing_m, or an ulp off it.
+        positions = [data.draw(st.one_of(st.sampled_from([min(m + k * spacing, m + 1.0) for k in range(5)]),
+                                         st.floats(m, m + 1.0))) for m in active]
+        pl = Placement(active=active, positions=positions, phases=[0.0] * len(active))
+        params = params_28ghz(min_spacing_m=spacing)
+        if spacing_violated(positions, spacing):
+            with pytest.raises(ValueError, match="spacing"):
+                pl.validate(layout, params)
+        else:
+            pl.validate(layout, params)

@@ -45,10 +45,10 @@ def place(segment, current, users, layout, params, grid_points, align=False):
     """(position, rate, gain column) of the best grid point against a committed placement, or None."""
     aggregate = np.zeros(users.num_users, dtype=complex)
     if current.active:
-        aggregate = cascaded_gain_matrix(users, current, layout, params) @ np.exp(1j * current.phase_array())
+        aggregate = cascaded_gain_matrix(users, current, layout, params) @ np.exp(1j * np.array(current.phases))
     grid = candidate_grid(segment, layout, grid_points)
     block = segment_gains(users, segment, grid, layout, params)
-    return grid_search(grid, block, current.position_array(), aggregate, current.num_active, users, params, align)
+    return grid_search(grid, block, np.array(current.positions), aggregate, current.num_active, users, params, align)
 
 
 def grid_search(grid, block, occupied, aggregate, n_active, users, params, align):
@@ -122,13 +122,13 @@ def spacing_scenarios(draw):
 class TestInfeasiblePoints:
     def test_empty_placement_excludes_nothing(self):
         grid = np.array([0.0, 0.5, 0.9, 1.1])
-        assert not _infeasible_mask(grid, empty_placement().position_array(), 0.2).any()
+        assert not _infeasible_mask(grid, np.array(empty_placement().positions), 0.2).any()
 
     def test_points_near_placed_antenna_excluded(self):
         lay = WaveguideLayout(4, 1.0, 3.0, start_x=0.0)
         placed = with_segment(empty_placement(), 0, 1.0)
         grid = np.array([0.0, 0.5, 0.9, 1.1])
-        assert list(grid[_infeasible_mask(grid, placed.position_array(), 0.2)]) == [0.9, 1.1]
+        assert list(grid[_infeasible_mask(grid, np.array(placed.positions), 0.2)]) == [0.9, 1.1]
 
     def test_exclusion_count_bounded_on_uniform_grid(self):
         # A neighbor antenna parked at a shared edge can knock out at most
@@ -138,7 +138,7 @@ class TestInfeasiblePoints:
         placed = with_segment(empty_placement(), 0, 1.0)
         for q in (100, 1000):
             grid = candidate_grid(1, lay, q)
-            excluded = _infeasible_mask(grid, placed.position_array(), params.min_spacing_m)
+            excluded = _infeasible_mask(grid, np.array(placed.positions), params.min_spacing_m)
             cap = math.ceil(params.min_spacing_m * (q - 1) / 1.0) + 1
             assert 1 <= excluded.sum() <= cap
 
@@ -196,7 +196,7 @@ class TestPlaceInSegment:
         pos, rate, column = place(1, current, users, self.layout, self.params, 50)
         assert np.array_equal(column, segment_gains(users, 1, pos, self.layout, self.params))
         grid = candidate_grid(1, self.layout, 50)
-        bad = set(grid[_infeasible_mask(grid, current.position_array(), self.params.min_spacing_m)].tolist())
+        bad = set(grid[_infeasible_mask(grid, np.array(current.positions), self.params.min_spacing_m)].tolist())
         for x in grid:
             if float(x) in bad:
                 continue
@@ -210,7 +210,7 @@ class TestPlaceInSegment:
         current = with_segment(with_segment(empty_placement(), 0, -1.2, phase=0.7), 2, 0.8, phase=2.1)
         pos, rate, _ = place(1, current, users, self.layout, self.params, 40, True)
         g_cur = cascaded_gain_matrix(users, current, self.layout, self.params)
-        agg = g_cur @ np.exp(1j * current.phase_array())
+        agg = g_cur @ np.exp(1j * np.array(current.phases))
         grid = candidate_grid(1, self.layout, 40)
         best = -np.inf
         best_x = None
@@ -536,13 +536,13 @@ def phase_level_candidates(users, layout, params, grid_points, prefix, tol=1e-8,
     aggregate = np.zeros(users.num_users, dtype=complex)
     if n:
         gains = cascaded_gain_matrix(users, prefix, layout, params)
-        aggregate = gains @ np.exp(1j * prefix.phase_array())
+        aggregate = gains @ np.exp(1j * np.array(prefix.phases))
     for m in range(layout.num_segments):
         if m in prefix.active:
             continue
         grid = candidate_grid(m, layout, grid_points)
         block = segment_gains(users, m, grid, layout, params)
-        best = grid_search(grid, block, prefix.position_array(), aggregate, n, users, params, True)
+        best = grid_search(grid, block, np.array(prefix.positions), aggregate, n, users, params, True)
         if best is None:
             continue
         pos, _, column = best
@@ -714,8 +714,8 @@ class TestKeptMaskDescent:
         """A baseline outcome with every float as its hex string, or the raised ValueError."""
         if isinstance(result, tuple) and isinstance(result[0], Placement):
             placement, rate = result
-            return ({m: x.hex() for m, x in placement.positions.items()},
-                    {m: x.hex() for m, x in placement.phases.items()}, rate.hex())
+            return (placement.active, tuple(x.hex() for x in placement.positions),
+                    tuple(x.hex() for x in placement.phases), rate.hex())
         return result
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -778,7 +778,7 @@ class TestFullSegmentAggregationBaseline:
     def test_rate_never_drops_below_midpoint_start(self):
         lay = build_centered_layout(2, 1.0, 3.0)
         users = sample_users(1, 2.0, 8.0, 0.01, 151)
-        start = Placement(active=(0, 1), positions={0: -0.5, 1: 0.5}, phases={0: 0.0, 1: 0.0})
+        start = Placement(active=(0, 1), positions=(-0.5, 0.5), phases=(0.0, 0.0))
         initial = placement_sum_rate(users, start, lay, self.params)
         for variant in ("type1", "type2"):
             placement, rate = full_sa_baseline(users, lay, self.params, 41, variant)
