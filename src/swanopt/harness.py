@@ -253,22 +253,19 @@ def _parse_config_text(text: str) -> dict:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Every rate of a sweep.
+    """Every rate of a sweep, with the config it ran.
 
-    `rates[p, i, r]` is scheme `schemes[i]`'s rate at sweep point p (where
-    the swept variable `sweep_var` is `values[p]`) in realization r, and
-    `redraws[p, r]` is the index of the draw the bound schemes got there
-    (0 without bound schemes). `seed` is the master seed, and `config_hash`
-    the sha256 of the config's canonical text.
+    `rates[p, i, r]` is scheme `config.schemes[i]`'s rate at sweep point p
+    (where the swept variable `sweep_var` is `values[p]`) in realization r,
+    and `redraws[p, r]` is the index of the draw the bound schemes got there
+    (0 without bound schemes).
     """
 
+    config: ExperimentConfig
     sweep_var: str
     values: tuple[int, ...]
-    schemes: tuple[str, ...]
     rates: np.ndarray
     redraws: np.ndarray
-    seed: int
-    config_hash: str
 
 
 def _fmt(value: float) -> str:
@@ -280,10 +277,10 @@ def sweep_csv_text(result: SweepResult) -> str:
     lines = [CSV_HEADER]
     n_real = result.rates.shape[2]
     for value, point_rates in zip(result.values, result.rates):
-        for scheme, vals in zip(result.schemes, point_rates):
+        for scheme, vals in zip(result.config.schemes, point_rates):
             std = float(np.std(vals, ddof=1)) if n_real > 1 else 0.0
             lines.append(f"{result.sweep_var},{value},{scheme},{_fmt(float(np.mean(vals)))},{_fmt(std)},{n_real},"
-                         f"{result.seed}")
+                         f"{result.config.master_seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -305,7 +302,7 @@ def write_sweep_result(result: SweepResult, path) -> str:
     """Write the CSV (17 significant digits) plus a metadata sidecar; returns the CSV text."""
     text = sweep_csv_text(result)
     resample_counts = {value: int(point_redraws.sum()) for value, point_redraws in zip(result.values, result.redraws)}
-    _write_with_sidecar(path, text, result.config_hash, result.sweep_var, resample_counts)
+    _write_with_sidecar(path, text, result.config.config_hash(), result.sweep_var, resample_counts)
     return text
 
 
@@ -438,7 +435,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
             for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
                 _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, stream.cache, where)
-    return SweepResult(sweep_var, values, config.schemes, rates, redraws, config.master_seed, config.config_hash())
+    return SweepResult(config, sweep_var, values, rates, redraws)
 
 
 def run_bound_sweep(config: ExperimentConfig) -> SweepResult:
@@ -489,13 +486,13 @@ def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:
     for scheme in sorted(traces):
         trace = traces[scheme]
         best_level = trace.best_level
-        for lvl in trace.levels:
-            segment = "" if lvl.segment is None else str(lvl.segment)
-            position = "" if lvl.position is None else _fmt(lvl.position)
-            phases = ";".join(f"{m}:{_fmt(p)}" for m, p in zip(lvl.placement.active, lvl.placement.phases))
+        for level, lvl in enumerate(trace.levels, 1):
+            placement = lvl.placement  # its last antenna is the level's; a degenerate level commits none
+            segment, position = ("", "") if lvl.degenerate else (placement.active[-1], _fmt(placement.positions[-1]))
+            phases = ";".join(f"{m}:{_fmt(p)}" for m, p in zip(placement.active, placement.phases))
             lines.append(
-                f"{scheme},{lvl.level},{segment},{position},{phases},{_fmt(lvl.rate)},"
-                f"{int(lvl.degenerate)},{int(lvl.level == best_level)}"
+                f"{scheme},{level},{segment},{position},{phases},{_fmt(lvl.rate)},"
+                f"{int(lvl.degenerate)},{int(level == best_level)}"
             )
     return "\n".join(lines) + "\n"
 

@@ -55,15 +55,13 @@ BOUND_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class TraceLevel:
-    """One greedy iteration: the committed segment and the resulting state.
+    """One greedy iteration: the placement after it and that placement's rate.
 
-    Degenerate levels occur when no remaining segment had a feasible grid
-    point; they repeat the previous level's placement and rate.
+    The level's committed antenna is the placement's last one. Degenerate
+    levels occur when no remaining segment had a feasible grid point; they
+    repeat the previous level's placement and rate.
     """
 
-    level: int
-    segment: int | None
-    position: float | None
     placement: Placement
     rate: float
     degenerate: bool = False
@@ -87,11 +85,12 @@ class GreedyTrace:
 
     @property
     def best(self) -> TraceLevel:
-        return max(self.levels, key=lambda t: t.rate)
+        return self.levels[self.best_level - 1]
 
     @property
     def best_level(self) -> int:
-        return self.best.level
+        """The best level's 1-based index in `levels`, the first of equal rates."""
+        return max(range(1, len(self.levels) + 1), key=lambda i: self.levels[i - 1].rate)
 
     @property
     def best_rate(self) -> float:
@@ -361,12 +360,10 @@ def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: floa
     if not type2:
         # Largest gain amplitude of each (segment, user) over the whole grid.
         peak = np.stack([np.abs(block).max(axis=1) for _, block in table])
-    for level in range(1, layout.num_segments + 1):
+    for _ in range(layout.num_segments):
         searchable = [m for m, f in enumerate(free) if f is not False]
         if not searchable:
-            prev = levels[-1]
-            levels.append(TraceLevel(level=level, segment=None, position=None,
-                                     placement=prev.placement, rate=prev.rate, degenerate=True))
+            levels.append(TraceLevel(levels[-1].placement, levels[-1].rate, degenerate=True))
             continue
         n_active = placement.num_active
         if type2:
@@ -391,7 +388,7 @@ def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: floa
                 free[j] = _free_points(table[j][0], np.array(placement.positions), spacing)
         gains = np.concatenate([gains, column[:, None]], axis=1)
         aggregate = gains @ np.exp(1j * phases)
-        levels.append(TraceLevel(level=level, segment=m, position=pos, placement=placement, rate=rate))
+        levels.append(TraceLevel(placement, rate))
     return GreedyTrace(levels=tuple(levels), ao_runs=ao_runs, ao_sweeps=ao_sweeps, ao_cap_hits=ao_cap_hits,
                        grid_searches=grid_searches)
 

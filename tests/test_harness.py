@@ -453,7 +453,7 @@ class TestSweepEngine:
             if not scheme.startswith("bound-"):
                 assert users == draws
             assert row(res, m, scheme).mean_rate == np.mean([rate for _, rate in seen])
-            assert [rate for _, rate in seen] == list(res.rates[res.values.index(m), res.schemes.index(scheme)])
+            assert [rate for _, rate in seen] == list(res.rates[res.values.index(m), res.config.schemes.index(scheme)])
         write_sweep_result(res, tmp_path / "sweep.csv")
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text(encoding="utf-8"))
         assert res.redraws.sum() > 0
@@ -575,11 +575,17 @@ class TestBenchmarkReferences:
 class TestNonNestingReferences:
     # Six-scheme sweeps of 0.3 m segments, whose layouts do not nest, with
     # bound redraws and repeated points; their CSVs and sidecars were
-    # recorded with the configs beside them and must keep their bytes.
+    # recorded with the configs beside them and must keep their bytes. The
+    # single run's 0.5 m spacing leaves hssa-1's levels 5-6 and hssa-2's
+    # levels 4-6 without a feasible grid point; both schemes' best level is
+    # 3, and hssa-2's degenerate levels tie with it on rate, so its trace
+    # pins the empty segment and position cells, every other level's
+    # committed antenna and the best flag on tied rates.
     DATA = Path(__file__).parent / "data"
 
     @pytest.mark.parametrize("command, name", [("segment-sweep", "nonnesting_segment_sweep"),
-                                               ("user-sweep", "nonnesting_user_sweep")])
+                                               ("user-sweep", "nonnesting_user_sweep"),
+                                               ("single-run", "degenerate_single_run")])
     def test_cli_reproduces_reference_bytes(self, tmp_path, monkeypatch, command, name):
         monkeypatch.chdir(tmp_path)  # the config's relative output path enters the sidecar's config hash
         assert cli_main([command, "--config", str(self.DATA / f"{name}.cfg"), "--quiet"]) == 0

@@ -243,7 +243,7 @@ class TestGreedyTypeOne:
         trace = greedy_hssa_type1(users, lay, self.params, 60)
         assert len(trace.levels) == 1 and trace.best_level == 1
         pos, rate, _ = place(0, empty_placement(), users, lay, self.params, 60)
-        assert trace.levels[0].position == pos and trace.levels[0].rate == rate
+        assert trace.levels[0].placement.positions[-1] == pos and trace.levels[0].rate == rate
 
     def test_first_pick_matches_single_segment_oracle(self):
         lay = build_centered_layout(3, 1.0, 3.0)
@@ -251,7 +251,7 @@ class TestGreedyTypeOne:
         per_segment = [place(m, empty_placement(), users, lay, self.params, 80)[1]
                        for m in range(3)]
         trace = greedy_hssa_type1(users, lay, self.params, 80)
-        assert trace.levels[0].segment == int(np.argmax(per_segment)) == 1
+        assert trace.levels[0].placement.active[-1] == int(np.argmax(per_segment)) == 1
 
     def test_best_level_dominates_full_activation(self):
         lay = build_centered_layout(4, 1.0, 3.0)
@@ -264,9 +264,9 @@ class TestGreedyTypeOne:
         lay = build_centered_layout(5, 1.0, 3.0)
         users = sample_users(3, 5.0, 10.0, 0.01, 73)
         trace = greedy_hssa_type1(users, lay, self.params, 40)
-        for lvl in trace.levels:
+        for level, lvl in enumerate(trace.levels, 1):
             lvl.placement.validate(lay, self.params)
-            assert lvl.placement.num_active == lvl.level
+            assert lvl.placement.num_active == level
             recomputed = placement_sum_rate(users, lvl.placement, lay, self.params)
             assert lvl.rate == pytest.approx(recomputed, rel=1e-12)
 
@@ -279,7 +279,8 @@ class TestGreedyTypeOne:
         assert not trace.levels[0].degenerate
         assert trace.levels[1].degenerate
         assert trace.levels[1].rate == trace.levels[0].rate
-        assert trace.levels[1].segment is None
+        assert trace.levels[1].placement.num_active == 1  # level 2 commits no segment
+        assert trace.levels[1].placement == trace.levels[0].placement
         assert trace.best_level == 1
 
     def test_bit_identical_reruns(self):
@@ -288,8 +289,8 @@ class TestGreedyTypeOne:
         a = greedy_hssa_type1(users, lay, self.params, 50)
         b = greedy_hssa_type1(users, lay, self.params, 50)
         for la, lb in zip(a.levels, b.levels):
-            assert la.segment == lb.segment
-            assert la.position == lb.position
+            assert la.placement.active[-1] == lb.placement.active[-1]
+            assert la.placement.positions[-1] == lb.placement.positions[-1]
             assert la.rate == lb.rate
 
 
@@ -477,8 +478,8 @@ class TestGreedyTypeTwo:
         users = sample_users(3, 4.0, 8.0, 0.01, 131)
         t1 = greedy_hssa_type1(users, lay, self.params, 40)
         t2 = greedy_hssa_type2(users, lay, self.params, 40)
-        assert t1.levels[0].segment == t2.levels[0].segment
-        assert t1.levels[0].position == t2.levels[0].position
+        assert t1.levels[0].placement.active[-1] == t2.levels[0].placement.active[-1]
+        assert t1.levels[0].placement.positions[-1] == t2.levels[0].placement.positions[-1]
         assert t1.levels[0].rate == pytest.approx(t2.levels[0].rate, rel=1e-12)
 
     def test_best_dominates_full_activation_and_snapshots_consistent(self):
@@ -590,7 +591,7 @@ class TestBoundPruning:
             if lvl.degenerate:
                 assert oracle is None
                 continue
-            assert (lvl.rate, lvl.segment, lvl.position) == oracle
+            assert (lvl.rate, lvl.placement.active[-1], lvl.placement.positions[-1]) == oracle
             prefix = lvl.placement
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -606,7 +607,7 @@ class TestBoundPruning:
             if lvl.degenerate:
                 assert oracle is None
                 continue
-            assert (lvl.rate, lvl.segment, lvl.position) == oracle
+            assert (lvl.rate, lvl.placement.active[-1], lvl.placement.positions[-1]) == oracle
             prefix = lvl.placement
         committed = sum(not lvl.degenerate for lvl in trace.levels)
         assert committed <= trace.grid_searches <= exhaustive
@@ -635,9 +636,9 @@ class TestBoundPruning:
         table = [(candidate_grid(m, layout, 2), block.astype(complex)) for m, block in enumerate(blocks)]
         cache = {layout.segment_interval(m): entry for m, entry in enumerate(table)}
         trace = greedy_hssa_type1(users, layout, params, 2, cache=cache)
-        assert [lvl.segment for lvl in trace.levels[:len(committed)]] == committed
+        assert [lvl.placement.active[-1] for lvl in trace.levels[:len(committed)]] == committed
         tied = trace.levels[len(committed)]
-        assert tied.segment == 0 and tied.position == table[0][0][0]
+        assert tied.placement.active[-1] == 0 and tied.placement.positions[-1] == table[0][0][0]
 
 
 class TestAoCounters:
