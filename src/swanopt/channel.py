@@ -15,24 +15,20 @@ from .geometry import Placement, SystemParams, UserSet, WaveguideLayout
 
 
 def segment_gains(users: UserSet, segment: int, antenna_x, layout: WaveguideLayout, params: SystemParams):
-    """Cascaded gains of every user to position(s) within one segment.
+    """Cascaded gains, shape (K, Q), of every user to Q positions within one segment.
 
-    Returns shape (K,) for scalar `antenna_x` and (K, Q) for an array of Q
-    positions. This is the vectorized workhorse behind the optimizers.
+    A scalar `antenna_x` counts as Q = 1. This is the optimizers' vectorized workhorse.
     """
     lo, hi = layout.segment_interval(segment)
-    x = np.asarray(antenna_x, dtype=float)
+    x = np.atleast_1d(np.asarray(antenna_x, dtype=float))
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError(f"antenna position outside segment {segment} interval [{lo}, {hi}]")
-    scalar = x.ndim == 0
-    xx = np.atleast_1d(x)
     d_sq = users.dist_sq_to_axis(layout.height_m)
-    r = np.sqrt((users.x[:, None] - xx[None, :]) ** 2 + d_sq[:, None])
+    r = np.sqrt((users.x[:, None] - x[None, :]) ** 2 + d_sq[:, None])
     g_out = np.sqrt(params.eta) * np.exp(-1j * params.wavenumber * r) / r
-    ell = xx - lo
+    ell = x - lo
     g_in = 10.0 ** (-params.kappa_db_per_m * ell / 20.0) * np.exp(-2j * np.pi * ell / params.guided_wavelength_m)
-    g = g_in[None, :] * g_out
-    return g[:, 0] if scalar else g
+    return g_in[None, :] * g_out
 
 
 def cascaded_gain_matrix(users: UserSet, placement: Placement, layout: WaveguideLayout, params: SystemParams):
@@ -40,7 +36,7 @@ def cascaded_gain_matrix(users: UserSet, placement: Placement, layout: Waveguide
     if not placement.active:
         raise ValueError("placement has no active segments")
     cols = [segment_gains(users, m, x, layout, params) for m, x in zip(placement.active, placement.positions)]
-    return np.stack(cols, axis=1)
+    return np.concatenate(cols, axis=1)
 
 
 def sum_rate(channels, users: UserSet, params: SystemParams) -> float:

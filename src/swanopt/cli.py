@@ -63,8 +63,8 @@ def main(argv=None) -> int:
             result = _RUNNERS[args.command](config)
             text = write_sweep_result(result, config.output)
     except (ValueError, OSError, MemoryError) as exc:
-        hint = "out of memory; lower grid_points, num_users or realizations: " if isinstance(exc, MemoryError) else ""
-        print(f"error: {hint}{exc}", file=sys.stderr)
+        hint = "out of memory; lower num_segments, segment_sweep, user_sweep, grid_points, num_users or realizations: "
+        print(f"error: {hint if isinstance(exc, MemoryError) else ''}{str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if not args.quiet:
         sys.stdout.write(text)

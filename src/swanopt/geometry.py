@@ -102,19 +102,18 @@ class WaveguideLayout:
         return tuple(self.start_x + m * self.segment_length_m for m in range(self.num_segments))
 
     def segment_interval(self, segment: int) -> tuple[float, float]:
-        """Closed interval [lo, hi] of admissible antenna positions in a segment."""
-        lo = self.feed_x[segment]
-        return lo, lo + self.segment_length_m
+        """Closed interval [feed_x[segment], segment_ends[segment]] of admissible antenna positions."""
+        return self.feed_x[segment], self.segment_ends[segment]
 
     @cached_property
     def segment_ends(self) -> tuple[float, ...]:
-        """Right edge feed_x[m] + L of every segment, in segment order."""
+        """Right edge feed_x[m] + L of every segment, in segment order; the one place a segment's end is computed."""
         return tuple(x + self.segment_length_m for x in self.feed_x)
 
     @cached_property
     def extent(self) -> tuple[float, float]:
         """x-range covered by the waveguide, first feed to last segment end."""
-        return self.feed_x[0], self.feed_x[-1] + self.segment_length_m
+        return self.feed_x[0], self.segment_ends[-1]
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,6 @@ from .optimize import GreedyTrace, full_sa_baseline, greedy_hssa_type1, greedy_h
 TOOL_VERSION = "0.1.0"
 
 SCHEMES = ("bound-exact", "bound-integral", "full-sa-1", "full-sa-2", "hssa-1", "hssa-2")
-_BOUND_SCHEMES = frozenset({"bound-exact", "bound-integral"})
-_GREEDY_SCHEMES = frozenset({"hssa-1", "hssa-2"})
 # Redraws allowed per bound-scheme realization before the sweep point fails.
 MAX_REDRAWS = 10_000
 
@@ -411,7 +409,8 @@ def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, ca
 def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     """Run each realization over all (value, num_segments, num_users) points, one user stream at a time."""
     params = config.system_params()
-    needs_bound_users = any(s in _BOUND_SCHEMES for s in config.schemes)
+    is_bound = [scheme.startswith("bound-") for scheme in config.schemes]  # a scheme's kind is its name prefix
+    needs_bound_users = any(is_bound)
     layouts = [config.layout_for(num_segments) for _, num_segments, _ in points]
     values = tuple(value for value, _, _ in points)
     wheres = [f"{sweep_var} = {value}" for value in values]
@@ -433,14 +432,14 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
             if needs_bound_users:
                 bound_users, redraws[p, r] = stream.inside(*layout.extent)
             for i, scheme in enumerate(config.schemes):
-                chosen = bound_users if scheme in _BOUND_SCHEMES else stream.users
+                chosen = bound_users if is_bound[i] else stream.users
                 _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, stream.cache, where)
     return SweepResult(config, sweep_var, values, rates, redraws)
 
 
 def run_bound_sweep(config: ExperimentConfig) -> SweepResult:
     """Evaluate the analytical bounds (plus any other requested schemes) over a segment sweep."""
-    if not any(s in _BOUND_SCHEMES for s in config.schemes):
+    if not any(s.startswith("bound-") for s in config.schemes):
         raise ValueError("bound sweep needs bound-exact and/or bound-integral in schemes")
     return run_segment_sweep(config)
 
@@ -470,7 +469,7 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
     """Run the greedy schemes once (realization 0) and return their full traces."""
     if config.num_segments is None or config.num_users is None:
         raise ValueError("single run needs num_segments and num_users")
-    greedy = [s for s in config.schemes if s in _GREEDY_SCHEMES]
+    greedy = [s for s in config.schemes if s.startswith("hssa-")]
     if not greedy:
         raise ValueError("single run needs hssa-1 and/or hssa-2 in schemes")
     params = config.system_params()

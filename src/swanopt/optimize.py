@@ -356,7 +356,7 @@ def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: floa
     # Per segment, its `_free_points` mask of the committed antennas; False
     # also once committed (a segment takes no second antenna).
     free: list = [None] * len(table)
-    grid_ends = np.array([(grid[0], grid[-1]) for grid, _ in table]).T
+    grid_ends = np.array([layout.feed_x, layout.segment_ends])
     if not type2:
         # Largest gain amplitude of each (segment, user) over the whole grid.
         peak = np.stack([np.abs(block).max(axis=1) for _, block in table])
@@ -463,26 +463,26 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
     table = grid_gain_table(users, layout, params, grid_points, cache)
     pos = np.array([layout.feed_x[m] + layout.segment_length_m / 2.0 for m in range(num_segments)])
     if num_segments == 1 or np.diff(pos).min() >= spacing:
-        gains = np.stack([_cached(cache, ("midpoint", *layout.segment_interval(m)),
-                                  lambda: segment_gains(users, m, float(pos[m]), layout, params))
-                          for m in range(num_segments)], axis=1)
+        gains = np.concatenate([_cached(cache, ("midpoint", *layout.segment_interval(m)),
+                                        lambda: segment_gains(users, m, float(pos[m]), layout, params))
+                                for m in range(num_segments)], axis=1)
     else:
         pos, gains = _leftmost_start(table, spacing)
     phase = np.zeros(num_segments)
-    w = np.exp(1j * phase)
     scale = num_segments * params.noise_power_w
 
-    def snr_of(gmat, vvec):
-        h2 = np.abs(gmat @ vvec) ** 2
+    def snr_of(phases):
+        h2 = np.abs(gains @ np.exp(1j * phases)) ** 2
         return float(np.sum(users.power_w * h2) / scale)
 
     # Each segment's mask of the other antennas.
     free = [_free_points(grid, np.delete(pos, m), spacing) for m, (grid, _) in enumerate(table)]
-    grid_ends = np.array([(grid[0], grid[-1]) for grid, _ in table]).T
-    snr = snr_of(gains, w)
+    grid_ends = np.array([layout.feed_x, layout.segment_ends])
+    snr = snr_of(phase)
     rate = float(np.log2(1.0 + snr))
     for _ in range(FULL_SA_MAX_SWEEPS):
         prev_rate = rate
+        w = np.exp(1j * phase)
         for m, (grid, block) in enumerate(table):
             if free[m] is False:
                 continue
@@ -508,11 +508,9 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
         if variant == "type2":
             res = phase_alternating_opt(build_phase_matrix(gains, users.power_w), init=w, tol=tol,
                                         max_iter=max_iter)
-            w_new = np.exp(1j * res.phases)
-            snr_new = snr_of(gains, w_new)
+            snr_new = snr_of(res.phases)
             if snr_new >= snr:
                 phase = res.phases
-                w = w_new
                 snr = snr_new
         rate = float(np.log2(1.0 + snr))
         if rate - prev_rate <= tol * max(prev_rate, 1e-300):

@@ -192,7 +192,7 @@ def full_sa_rescan(users, layout, params, grid_points, variant="type1", tol=1e-8
     table = grid_gain_table(users, layout, params, grid_points)
     pos = np.array([layout.feed_x[m] + layout.segment_length_m / 2.0 for m in range(num_segments)])
     if num_segments == 1 or np.diff(pos).min() >= params.min_spacing_m:
-        gains = np.stack([segment_gains(users, m, float(pos[m]), layout, params) for m in range(num_segments)],
+        gains = np.stack([segment_gains(users, m, float(pos[m]), layout, params)[:, 0] for m in range(num_segments)],
                          axis=1)
     else:
         pos, gains = _leftmost_start(table, params.min_spacing_m)

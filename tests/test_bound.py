@@ -152,6 +152,12 @@ class TestPartialSums:
     def test_empty_sum_is_zero(self):
         assert f_exact(0.3, 0, 1.0, 9.0) == 0.0
         assert f_integral(0.7, 0, 1.0, 9.0) == 0.0
+        # Both asinh limits overflow to -inf here, so the closed form alone would give NaN.
+        assert f_integral(0.3e154, 0, 2e154, 4e-322) == 0.0
+        cache = {}
+        assert f_exact(0.3, 0, 1.0, 9.0, cache) == 0.0 and cache == {}
+        assert f_exact(0.3, 3, 1.0, 9.0, cache) > 0.0 and len(cache) == 1
+        assert f_exact(0.3, 0, 1.0, 9.0, cache) == 0.0
 
     def test_single_term_over_projection(self):
         assert f_exact(0.0, 1, 1.0, 9.0) == pytest.approx(1.0 / 3.0, rel=1e-15)

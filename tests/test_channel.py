@@ -135,8 +135,11 @@ class TestCascadedGain:
         pts = np.linspace(*self.layout.segment_interval(2), 9)
         block = segment_gains(users, 2, pts, self.layout, self.params)
         assert block.shape == (3, 9)
-        for k in range(3):
-            for q in (0, 4, 8):
+        for q in (0, 4, 8):
+            column = segment_gains(users, 2, float(pts[q]), self.layout, self.params)
+            assert column.shape == (3, 1)  # a scalar position is Q = 1
+            assert np.array_equal(column[:, 0], block[:, q])
+            for k in range(3):
                 direct = cascaded_gain(user_at(users, k), 2, float(pts[q]), self.layout, self.params)
                 assert block[k, q] == pytest.approx(direct, rel=1e-13)
 

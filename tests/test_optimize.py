@@ -81,6 +81,17 @@ class TestCandidateGrid:
         with pytest.raises(ValueError):
             candidate_grid(0, self.layout, 1)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 120), st.one_of(st.just(0.3), st.floats(0.01, 5.0)), st.integers(2, 1000))
+    @example(120, 0.3, 1000)
+    def test_ends_are_the_layout_segment_ends(self, num_segments, length, grid_points):
+        # The searches read a grid's first and last points from the layout,
+        # also on centered layouts whose rounding leaves gaps between segments.
+        layout = build_centered_layout(num_segments, length, 3.0)
+        for m in range(num_segments):
+            grid = candidate_grid(m, layout, grid_points)
+            assert grid[0] == layout.feed_x[m] and grid[-1] == layout.segment_ends[m]
+
 
 @st.composite
 def spacing_scenarios(draw):
@@ -169,7 +180,7 @@ class TestGridGainTable:
                 keep = rng.random(q) >= infeasible_share
                 assert np.array_equal(block[:, keep], segment_gains(users, m, grid[keep], lay, params))
             i = int(rng.integers(q))
-            assert np.array_equal(block[:, i], segment_gains(users, m, float(grid[i]), lay, params))
+            assert np.array_equal(block[:, i], segment_gains(users, m, float(grid[i]), lay, params)[:, 0])
 
 
 class TestPlaceInSegment:
@@ -194,7 +205,7 @@ class TestPlaceInSegment:
         users = sample_users(3, 2.5, 12.0, 0.01, 47)
         current = with_segment(with_segment(empty_placement(), 0, -1.2), 2, 0.8)
         pos, rate, column = place(1, current, users, self.layout, self.params, 50)
-        assert np.array_equal(column, segment_gains(users, 1, pos, self.layout, self.params))
+        assert np.array_equal(column, segment_gains(users, 1, pos, self.layout, self.params)[:, 0])
         grid = candidate_grid(1, self.layout, 50)
         bad = set(grid[_infeasible_mask(grid, np.array(current.positions), self.params.min_spacing_m)].tolist())
         for x in grid:
@@ -215,7 +226,7 @@ class TestPlaceInSegment:
         best = -np.inf
         best_x = None
         for x in grid:
-            g = segment_gains(users, 1, float(x), self.layout, self.params)
+            g = segment_gains(users, 1, float(x), self.layout, self.params)[:, 0]
             s = np.sum(users.power_w * g * np.conj(agg))
             v = 1.0 if s == 0 else np.exp(-1j * np.angle(s))
             snr = np.sum(users.power_w * np.abs(agg + v * g) ** 2) / 3.0 / self.params.noise_power_w
