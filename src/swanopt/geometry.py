@@ -205,24 +205,29 @@ def build_centered_layout(num_segments: int, segment_length_m: float, height_m: 
     return WaveguideLayout(num_segments, segment_length_m, height_m, 0.0 - num_segments * segment_length_m / 2.0)
 
 
-def centered_uniform(u, width):
-    """Unit draws `u` scaled onto [-width/2, width/2) as `Generator.uniform` scales them: low + (high - low) * u."""
-    low, high = -width / 2.0, width / 2.0
-    return low + (high - low) * u
+def uniform_draws(rng, count, num_users, region_x_m, region_y_m) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y, each (count, num_users), of `count` draws of users uniform over a centered rectangle.
+
+    One `rng.random((count, 2, num_users))` call, draw by draw, x then y; each unit draw u is scaled as
+    `Generator.uniform` scales it, low + (high - low) * u. So draw j has the same bits for every `count`.
+    """
+    u = rng.random((count, 2, num_users))
+    (x_low, x_high), (y_low, y_high) = (-region_x_m / 2.0, region_x_m / 2.0), (-region_y_m / 2.0, region_y_m / 2.0)
+    return x_low + (x_high - x_low) * u[:, 0], y_low + (y_high - y_low) * u[:, 1]
 
 
 def sample_users(num_users, region_x_m, region_y_m, power_w, rng_seed) -> UserSet:
     """Draw users uniformly over a centered region_x_m by region_y_m rectangle.
 
-    `rng_seed` may be an int or a sequence of ints; the draw is deterministic
-    given the seed. Monte Carlo realizations should derive their stream as
-    (master_seed, realization_index) so results are order-independent.
+    `rng_seed` may be an int, a sequence of ints or a `Generator`. The draw is
+    `uniform_draws`'s one-draw case, deterministic given the seed; Monte Carlo
+    realizations should derive their stream as (master_seed, realization_index)
+    so results are order-independent.
     """
     if num_users < 1:
         raise ValueError("num_users must be at least 1")
     if region_x_m <= 0 or region_y_m <= 0:
         raise ValueError("region dimensions must be positive")
-    u = np.random.default_rng(rng_seed).random((2, num_users))
-    x, y = centered_uniform(u[0], region_x_m), centered_uniform(u[1], region_y_m)
+    x, y = uniform_draws(np.random.default_rng(rng_seed), 1, num_users, region_x_m, region_y_m)
     p = np.broadcast_to(np.asarray(power_w, dtype=float), (num_users,)).copy()
-    return UserSet(x=x, y=y, power_w=p)
+    return UserSet(x=x[0], y=y[0], power_w=p)

@@ -43,9 +43,9 @@ from .geometry import (
     UserSet,
     WaveguideLayout,
     build_centered_layout,
-    centered_uniform,
     dbm_to_watts,
     sample_users,
+    uniform_draws,
 )
 from .optimize import GreedyTrace, full_sa_baseline, greedy_hssa_type1, greedy_hssa_type2
 
@@ -57,6 +57,10 @@ MAX_REDRAWS = 10_000
 
 CSV_HEADER = "sweep_var,sweep_value,scheme,mean_rate_bps_hz,std_rate,n_real,seed"
 TRACE_CSV_HEADER = "scheme,level,segment,position,phases,rate,degenerate,best"
+
+
+def _fmt(value: float) -> str:
+    return format(value, ".17g")
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,13 @@ class ExperimentConfig:
                      "region_y_m"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        # Finite extreme values can overflow, underflow to 0 or divide by 0
-        # in the quantities derived from them.
+        # Finite extreme values can overflow, underflow to 0 or divide by 0 in the quantities derived
+        # from them. A row may derive from the keys of the rows above it, so those are checked first.
         for key, quantity, derive in (
             ("tx_power_dbm", "the transmit power in watts", lambda: self.tx_power_w),
             ("noise_dbm", "the noise power in watts", lambda: dbm_to_watts(self.noise_dbm)),
+            ("carrier_freq_hz", "the free-space wavelength", lambda: SPEED_OF_LIGHT_M_S / self.carrier_freq_hz),
+            ("min_spacing_wavelengths", "the minimum antenna spacing in metres", lambda: self.spacing_m),
             ("carrier_freq_hz", "the free-space gain at 1 m", lambda: self.system_params().eta),
             # The gain kernel's phase along a segment; an overflow there gives NaN gains.
             ("n_eff", "the guided phase over one segment",
@@ -153,18 +159,12 @@ class ExperimentConfig:
             raise ValueError(f"height_m = {self.height_m:.6g} is out of range: its square underflows to 0")
 
     @classmethod
-    def from_dict(cls, values: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(values) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
+    def from_text(cls, text: str) -> "ExperimentConfig":
+        """The config a `key = value` text gives; the one parser of configs, so the one that sees which keys are set."""
+        values = _parse_config_text(text)
         if "min_spacing_m" in values and "min_spacing_wavelengths" in values:
             raise ValueError("give min_spacing_m or min_spacing_wavelengths, not both")
         return cls(**values)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(_parse_config_text(text))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -172,16 +172,12 @@ class ExperimentConfig:
             return cls.from_text(handle.read())
 
     def system_params(self) -> SystemParams:
-        if self.min_spacing_m is not None:
-            spacing = self.min_spacing_m
-        else:
-            spacing = self.min_spacing_wavelengths * SPEED_OF_LIGHT_M_S / self.carrier_freq_hz
         return SystemParams(
             carrier_freq_hz=self.carrier_freq_hz,
             n_eff=self.n_eff,
             noise_power_w=dbm_to_watts(self.noise_dbm),
             kappa_db_per_m=self.kappa_db_per_m,
-            min_spacing_m=spacing,
+            min_spacing_m=self.spacing_m,
         )
 
     def layout_for(self, num_segments: int) -> WaveguideLayout:
@@ -190,6 +186,11 @@ class ExperimentConfig:
     @property
     def tx_power_w(self) -> float:
         return dbm_to_watts(self.tx_power_dbm)
+
+    @property
+    def spacing_m(self) -> float:
+        """The minimum antenna spacing [m]: min_spacing_m, or else min_spacing_wavelengths free-space wavelengths."""
+        return self.min_spacing_m or self.min_spacing_wavelengths * SPEED_OF_LIGHT_M_S / self.carrier_freq_hz
 
     def canonical_text(self) -> str:
         lines = []
@@ -200,7 +201,7 @@ class ExperimentConfig:
             if isinstance(value, tuple):
                 rendered = ",".join(str(v) for v in value)
             elif isinstance(value, float):
-                rendered = format(value, ".17g")
+                rendered = _fmt(value)
             else:
                 rendered = str(value)
             lines.append(f"{f.name} = {rendered}")
@@ -266,10 +267,6 @@ class SweepResult:
     redraws: np.ndarray
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def sweep_csv_text(result: SweepResult) -> str:
     """One row per (point, scheme): the mean and sample standard deviation of its rates over the realizations."""
     lines = [CSV_HEADER]
@@ -325,10 +322,8 @@ class _UserStream:
 
     def _draw_block(self) -> None:
         """Draw as many more draws as the stream holds, up to MAX_REDRAWS + 1 in all."""
-        c = self.config
         count = min(len(self.draws), MAX_REDRAWS + 1 - len(self.draws))
-        u = self.rng.random((count, 2, self.num_users))  # draw by draw, x then y, as `sample_users` draws them
-        x, y = centered_uniform(u[:, 0], c.region_x_m), centered_uniform(u[:, 1], c.region_y_m)
+        x, y = uniform_draws(self.rng, count, self.num_users, self.config.region_x_m, self.config.region_y_m)
         self.draws += zip(x.min(axis=1).tolist(), x.max(axis=1).tolist(), x, y)
 
     def inside(self, lo: float, hi: float) -> tuple[UserSet, int]:
@@ -474,9 +469,8 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
         raise ValueError("single run needs hssa-1 and/or hssa-2 in schemes")
     params = config.system_params()
     layout = config.layout_for(config.num_segments)
-    users = _UserStream(config, config.num_users, 0).users
-    cache: dict = {}  # both greedy schemes search the same grid gains
-    return {scheme: _run_scheme(scheme, users, layout, params, config, cache, "the single run")[0] for scheme in greedy}
+    stream = _UserStream(config, config.num_users, 0)  # both greedy schemes search its cache's grid gains
+    return {s: _run_scheme(s, stream.users, layout, params, config, stream.cache, "the single run")[0] for s in greedy}
 
 
 def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:
@@ -504,12 +498,6 @@ def write_trace_result(traces: dict[str, GreedyTrace], config: ExperimentConfig,
 
 
 def apply_overrides(config: ExperimentConfig, seed=None, realizations=None, output=None) -> ExperimentConfig:
-    """CLI-flag overrides on top of a parsed config."""
-    updates = {}
-    if seed is not None:
-        updates["master_seed"] = seed
-    if realizations is not None:
-        updates["realizations"] = realizations
-    if output is not None:
-        updates["output"] = output
-    return replace(config, **updates) if updates else config
+    """CLI-flag overrides on top of a parsed config; a flag left at None keeps the config's value."""
+    updates = {"master_seed": seed, "realizations": realizations, "output": output}
+    return replace(config, **{key: value for key, value in updates.items() if value is not None})

@@ -129,6 +129,11 @@ class TestCascadedGain:
     def test_rejects_position_outside_segment(self):
         with pytest.raises(ValueError):
             cascaded_gain(User(0.0, 0.0, 0.01), 0, 0.0, self.layout, self.params)
+        users = UserSet(x=np.zeros(2), y=np.zeros(2), power_w=np.full(2, 0.01))
+        lo, hi = self.layout.segment_interval(0)
+        for antenna_x in (lo - 1e-9, hi + 1e-9, [lo, hi, 0.0]):  # a scalar, and one bad point of a block
+            with pytest.raises(ValueError, match="outside segment 0 interval"):
+                segment_gains(users, 0, antenna_x, self.layout, self.params)
 
     def test_segment_gains_matches_scalar_path(self):
         users = sample_users(3, 2.5, 10, 0.01, 21)
@@ -207,6 +212,9 @@ class TestEffectiveChannel:
     def test_empty_placement_rejected(self):
         with pytest.raises(ValueError):
             effective_channel(empty_placement(), User(0, 0, 0.01), self.layout, self.params)
+        users = UserSet(x=np.zeros(1), y=np.zeros(1), power_w=np.full(1, 0.01))
+        with pytest.raises(ValueError, match="no active segments"):
+            cascaded_gain_matrix(users, empty_placement(), self.layout, self.params)
 
     def test_placement_sum_rate_consistent_with_per_user_path(self):
         rng = np.random.default_rng(8)

@@ -14,6 +14,7 @@ from swanopt.geometry import (
     build_centered_layout,
     dbm_to_watts,
     sample_users,
+    uniform_draws,
 )
 
 
@@ -131,6 +132,18 @@ class TestSampleUsers:
         us = sample_users(num_users, width, depth, 0.01, seed)
         assert us.x.tobytes() == x.tobytes() and us.y.tobytes() == y.tobytes()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 4), st.floats(5e-324, 1e300), st.floats(5e-324, 1e300),
+           st.integers(0, 2**32 - 1))
+    def test_uniform_draws_are_draw_by_draw_x_then_y(self, count, num_users, width, depth, seed):
+        # One block of draws has the bits of Generator.uniform called draw by draw, x then y, at any count.
+        x, y = uniform_draws(np.random.default_rng(seed), count, num_users, width, depth)
+        assert x.shape == y.shape == (count, num_users)
+        rng = np.random.default_rng(seed)
+        for j in range(count):
+            assert x[j].tobytes() == rng.uniform(-width / 2.0, width / 2.0, size=num_users).tobytes()
+            assert y[j].tobytes() == rng.uniform(-depth / 2.0, depth / 2.0, size=num_users).tobytes()
+
     @pytest.mark.parametrize("kw", [
         dict(num_users=0, region_x_m=1, region_y_m=1, power_w=1, rng_seed=0),
         dict(num_users=1, region_x_m=0, region_y_m=1, power_w=1, rng_seed=0),
@@ -151,6 +164,17 @@ class TestUserSet:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             UserSet(x=np.zeros(2), y=np.zeros(2), power_w=np.array([0.01, 0.0]))
+        p = np.full(2, 0.01)
+        for x, y, power_w, message in (
+            (np.zeros(2), np.zeros(3), p, "equal length"),
+            (np.zeros((1, 2)), np.zeros((1, 2)), p.reshape(1, 2), "1-d"),
+            (np.zeros(0), np.zeros(0), np.zeros(0), "at least one user"),
+            (np.array([0.0, np.nan]), np.zeros(2), p, "finite"),
+            (np.zeros(2), np.array([np.inf, 0.0]), p, "finite"),
+            (np.zeros(2), np.zeros(2), np.array([0.01, np.inf]), "finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                UserSet(x=x, y=y, power_w=power_w)
 
     def test_arrays_are_read_only(self):
         us = sample_users(3, 20, 20, 0.01, 0)
@@ -189,6 +213,9 @@ class TestPlacement:
         pl = Placement(active=(1,), positions=(0.5,), phases=(0.0,))
         with pytest.raises(ValueError):
             pl.validate(self.layout, self.params)
+        for segment in (-1, 4):  # the layout has segments 0..3
+            with pytest.raises(ValueError, match=f"segment index {segment} outside layout"):
+                Placement(active=(segment,), positions=(0.0,), phases=(0.0,)).validate(self.layout, self.params)
 
     def test_validate_rejects_spacing_violation(self):
         delta = self.params.min_spacing_m

@@ -107,6 +107,7 @@ class TestConfigParsing:
         "num_users = 0\nsegment_sweep = 2\n",
         "num_segments = 0\nsegment_sweep = 2\n",
         "kappa_db_per_m = 1e308\nsegment_length_m = 2\n",  # the attenuation over a segment overflows
+        "schemes =\n",
     ])
     def test_invalid_values_rejected(self, text):
         with pytest.raises(ValueError):
@@ -622,6 +623,12 @@ class TestPersistence:
         write_sweep_result(res, tmp_path / "again.csv")
         assert (tmp_path / "again.csv.meta.json").read_bytes() == (tmp_path / "sweep.csv.meta.json").read_bytes()
 
+    def test_tool_version_matches_pyproject(self):
+        # Every sidecar records TOOL_VERSION; the package metadata is not read under PYTHONPATH=src.
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+            assert harness.TOOL_VERSION == tomllib.load(handle)["project"]["version"]
+
     def test_float_formatting_has_full_precision(self):
         cfg = ExperimentConfig(num_users=1, segment_sweep=(2,), grid_points=20,
                                realizations=2, schemes=("hssa-1",))
@@ -737,8 +744,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("carrier_freq_hz", "0"),  # zero division in the spacing
-        ("carrier_freq_hz", "1e-300"),  # zero division in the free-space gain
+        ("carrier_freq_hz", "0"),  # zero division in the free-space wavelength
+        ("carrier_freq_hz", "1e-300"),  # overflow in the free-space wavelength
+        ("carrier_freq_hz", "1e-160"),  # overflow in the free-space gain
         ("carrier_freq_hz", "1e300"),  # overflow in the free-space gain
         ("tx_power_dbm", "4000"),  # overflow in dBm to watts
         ("noise_dbm", "4000"),
@@ -749,6 +757,8 @@ class TestCli:
         ("segment_length_m", "1e300"),
         ("n_eff", "1e306"),  # overflow in the guided phase over a segment
         ("height_m", "1e-170"),  # a squared axis distance of 0
+        ("min_spacing_wavelengths", "1e300"),  # overflow in the spacing in metres
+        ("min_spacing_wavelengths", "1e-323"),  # underflow to a spacing of 0 m
     ])
     def test_out_of_range_value_reports_error(self, tmp_path, capsys, key, value):
         text = f"num_users = 1\nnum_segments = 2\ngrid_points = 20\nschemes = hssa-1\n{key} = {value}\n"
@@ -870,7 +880,7 @@ def tiny_configs(draw):
 def sweep_outcome(values):
     """The CSV text of the sweep a config describes, or None when it raises ValueError."""
     try:
-        config = ExperimentConfig.from_dict(values)
+        config = ExperimentConfig(**values)
         result = (run_segment_sweep if config.segment_sweep else run_user_sweep)(config)
     except ValueError:
         return None

@@ -432,6 +432,9 @@ class TestPhaseAlternatingOpt:
         pm = np.eye(2, dtype=complex)
         with pytest.raises(ValueError):
             phase_alternating_opt(pm, init=np.array([1.0, 0.5]))
+        for init in (np.ones(1), np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ValueError, match="init length"):
+                phase_alternating_opt(pm, init=init)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(2, 40), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
