@@ -51,8 +51,8 @@ class SystemParams:
             raise ValueError("kappa_db_per_m must be nonnegative")
         if self.min_spacing_m is None:
             object.__setattr__(self, "min_spacing_m", self.wavelength_m / 2.0)
-        elif self.min_spacing_m <= 0:
-            raise ValueError("min_spacing_m must be positive")
+        elif not 0 < self.min_spacing_m < np.inf:  # also false for NaN, which every spacing test would pass
+            raise ValueError(f"min_spacing_m must be positive and finite, got {self.min_spacing_m}")
 
     @cached_property
     def wavelength_m(self) -> float:

@@ -70,7 +70,6 @@ class ExperimentConfig:
     carrier_freq_hz: float = 28e9
     n_eff: float = 1.4
     kappa_db_per_m: float = 0.0
-    min_spacing_wavelengths: float = 0.5
     min_spacing_m: float | None = None
     height_m: float = 3.0
     noise_dbm: float = -90.0
@@ -114,8 +113,7 @@ class ExperimentConfig:
                     raise ValueError(f"{name} must be nonempty")
                 if any(v < 1 for v in sweep):
                     raise ValueError(f"{name} values must be at least 1")
-        for name in ("min_spacing_m", "min_spacing_wavelengths", "height_m", "segment_length_m", "region_x_m",
-                     "region_y_m"):
+        for name in ("min_spacing_m", "height_m", "segment_length_m", "region_x_m", "region_y_m"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         # Finite extreme values can overflow, underflow to 0 or divide by 0 in the quantities derived
@@ -124,7 +122,6 @@ class ExperimentConfig:
             ("tx_power_dbm", "the transmit power in watts", lambda: self.tx_power_w),
             ("noise_dbm", "the noise power in watts", lambda: dbm_to_watts(self.noise_dbm)),
             ("carrier_freq_hz", "the free-space wavelength", lambda: SPEED_OF_LIGHT_M_S / self.carrier_freq_hz),
-            ("min_spacing_wavelengths", "the minimum antenna spacing in metres", lambda: self.spacing_m),
             ("carrier_freq_hz", "the free-space gain at 1 m", lambda: self.system_params().eta),
             # The gain kernel's phase along a segment; an overflow there gives NaN gains.
             ("n_eff", "the guided phase over one segment",
@@ -160,11 +157,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        """The config a `key = value` text gives; the one parser of configs, so the one that sees which keys are set."""
-        values = _parse_config_text(text)
-        if "min_spacing_m" in values and "min_spacing_wavelengths" in values:
-            raise ValueError("give min_spacing_m or min_spacing_wavelengths, not both")
-        return cls(**values)
+        """The config a `key = value` text gives; the one parser of configs."""
+        return cls(**_parse_config_text(text))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -177,7 +171,7 @@ class ExperimentConfig:
             n_eff=self.n_eff,
             noise_power_w=dbm_to_watts(self.noise_dbm),
             kappa_db_per_m=self.kappa_db_per_m,
-            min_spacing_m=self.spacing_m,
+            min_spacing_m=self.min_spacing_m,
         )
 
     def layout_for(self, num_segments: int) -> WaveguideLayout:
@@ -186,11 +180,6 @@ class ExperimentConfig:
     @property
     def tx_power_w(self) -> float:
         return dbm_to_watts(self.tx_power_dbm)
-
-    @property
-    def spacing_m(self) -> float:
-        """The minimum antenna spacing [m]: min_spacing_m, or else min_spacing_wavelengths free-space wavelengths."""
-        return self.min_spacing_m or self.min_spacing_wavelengths * SPEED_OF_LIGHT_M_S / self.carrier_freq_hz
 
     def canonical_text(self) -> str:
         lines = []
@@ -208,7 +197,8 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+        """The SHA-256 of the canonical text of what a run computes, so without the output path."""
+        return hashlib.sha256(replace(self, output=None).canonical_text().encode("utf-8")).hexdigest()
 
 
 def _field_parser(annotation):

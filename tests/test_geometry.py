@@ -50,9 +50,11 @@ class TestSystemParams:
         {"noise_power_w": 0.0},
         {"kappa_db_per_m": -0.1},
         {"min_spacing_m": 0.0},
+        {"min_spacing_m": np.nan},  # every spacing comparison with NaN is false
+        {"min_spacing_m": np.inf},
     ])
     def test_rejects_bad_arguments(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             params_28ghz(**kw)
 
 

@@ -36,6 +36,10 @@ from swanopt.harness import (
 )
 from swanopt.optimize import greedy_hssa_type1, greedy_hssa_type2
 
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(path for folder in ("configs", "perfbench/configs", "tests/data")
+                         for path in (REPO / folder).glob("*.cfg"))
+
 CONFIG_TEXT = """
 # tiny experiment
 num_users = 2
@@ -86,10 +90,6 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key = value"):
             ExperimentConfig.from_text("num_users: 3\n")
 
-    def test_conflicting_spacing_keys_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            ExperimentConfig.from_text("min_spacing_m = 0.01\nmin_spacing_wavelengths = 0.5\n")
-
     def test_absolute_spacing_respected(self):
         cfg = ExperimentConfig.from_text("min_spacing_m = 0.25\n")
         assert cfg.system_params().min_spacing_m == 0.25
@@ -114,23 +114,21 @@ class TestConfigParsing:
             ExperimentConfig.from_text(text)
 
     def test_every_field_survives_canonical_text(self):
-        # min_spacing_m stays unset: it conflicts with min_spacing_wavelengths.
         cfg = ExperimentConfig(
-            carrier_freq_hz=3.5e9, n_eff=1.7, kappa_db_per_m=0.1, min_spacing_wavelengths=0.75,
+            carrier_freq_hz=3.5e9, n_eff=1.7, kappa_db_per_m=0.1, min_spacing_m=0.0625,
             height_m=2.5, noise_dbm=-85.5, segment_length_m=0.8, num_segments=12, segment_sweep=(4, 8),
             num_users=3, user_sweep=(1, 5), region_x_m=15.0, region_y_m=1 / 3, tx_power_dbm=7.25,
             grid_points=300, ao_tol=1e-6, ao_max_iter=40, realizations=7, master_seed=99,
             schemes=("hssa-2", "bound-exact"), output="run.csv")
         default = ExperimentConfig()
-        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["min_spacing_m"]
+        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == []
         parsed = ExperimentConfig.from_text(cfg.canonical_text())
         assert parsed == cfg and repr(parsed) == repr(cfg)  # repr tells 12 from 12.0
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-        "canonical_text writes min_spacing_wavelengths beside a set min_spacing_m, and from_text rejects "
-        "the pair; leaving it out changes the sidecar hash of such configs"))
-    def test_canonical_text_with_min_spacing_m_parses_back(self):
-        cfg = ExperimentConfig.from_text("min_spacing_m = 0.25\nnum_users = 2\n")
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.relative_to(REPO).as_posix())
+    def test_canonical_text_with_min_spacing_m_parses_back(self, path):
+        # tests/data/degenerate_single_run.cfg is the one that sets min_spacing_m.
+        cfg = ExperimentConfig.from_file(path)
         assert ExperimentConfig.from_text(cfg.canonical_text()) == cfg
 
     def test_every_scheme_kind_is_its_name_prefix(self):
@@ -599,11 +597,20 @@ class TestNonNestingReferences:
     @pytest.mark.parametrize("command, name", [("segment-sweep", "nonnesting_segment_sweep"),
                                                ("user-sweep", "nonnesting_user_sweep"),
                                                ("single-run", "degenerate_single_run")])
-    def test_cli_reproduces_reference_bytes(self, tmp_path, monkeypatch, command, name):
-        monkeypatch.chdir(tmp_path)  # the config's relative output path enters the sidecar's config hash
-        assert cli_main([command, "--config", str(self.DATA / f"{name}.cfg"), "--quiet"]) == 0
-        for suffix in (".csv", ".csv.meta.json"):
-            assert (tmp_path / f"{name}{suffix}").read_bytes() == (self.DATA / f"{name}{suffix}").read_bytes()
+    def test_cli_reproduces_reference_bytes(self, tmp_path, command, name):
+        out = tmp_path / f"{name}.csv"
+        assert cli_main([command, "--config", str(self.DATA / f"{name}.cfg"), "--output", str(out), "--quiet"]) == 0
+        for suffix in ("", ".meta.json"):
+            assert Path(f"{out}{suffix}").read_bytes() == (self.DATA / f"{name}.csv{suffix}").read_bytes()
+
+    def test_config_hash_leaves_out_the_output_path(self, tmp_path):
+        config = str(self.DATA / "degenerate_single_run.cfg")
+        hashes = set()
+        for out in (tmp_path / "x.csv", tmp_path / "sub" / "x.csv"):
+            out.parent.mkdir(exist_ok=True)
+            assert cli_main(["single-run", "--config", config, "--output", str(out), "--quiet"]) == 0
+            hashes.add(json.loads(Path(f"{out}.meta.json").read_text())["config_sha256"])
+        assert len(hashes) == 1
 
 
 class TestPersistence:
@@ -757,8 +764,6 @@ class TestCli:
         ("segment_length_m", "1e300"),
         ("n_eff", "1e306"),  # overflow in the guided phase over a segment
         ("height_m", "1e-170"),  # a squared axis distance of 0
-        ("min_spacing_wavelengths", "1e300"),  # overflow in the spacing in metres
-        ("min_spacing_wavelengths", "1e-323"),  # underflow to a spacing of 0 m
     ])
     def test_out_of_range_value_reports_error(self, tmp_path, capsys, key, value):
         text = f"num_users = 1\nnum_segments = 2\ngrid_points = 20\nschemes = hssa-1\n{key} = {value}\n"
@@ -866,12 +871,9 @@ def tiny_configs(draw):
     else:
         values.update(num_segments=draw(st.integers(1, 4)),
                       user_sweep=tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
-    spacing_key = draw(st.sampled_from(["min_spacing_m", "min_spacing_wavelengths"]))  # not both
     float_keys = [k for k, parse in harness._PARSERS.items() if parse is float]
     assert float_keys, "no config key parses as float, so no float value would be drawn"
     for key in float_keys:
-        if key.startswith("min_spacing") and key != spacing_key:
-            continue
         if draw(st.integers(0, 2)) == 0:  # a third of the keys, so that some configs run
             values[key] = draw(log_scale())
     return values
