@@ -9,9 +9,9 @@ the documented thresholds for every edge offset, including offsets smaller
 than half a segment. Below full activation, each user's bound counts only
 its nearest segments, as many as are active.
 
-The exact bound can keep its inverse-distance terms in a `cache=` dict and
-sum prefixes of them, since a user's edge offsets recur from one layout to
-the next; apart from filling that dict, the functions are pure.
+The exact bound keeps its inverse-distance terms in the user set's `cache`
+and sums prefixes of them, since a user's edge offsets recur from one layout
+to the next; apart from filling that dict, the functions are pure.
 """
 
 import math
@@ -162,7 +162,7 @@ def sum_rate_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams
 
 
 def exact_amplitude_bound(users: UserSet, layout: WaveguideLayout, params: SystemParams,
-                          level: int | None = None, cache=None) -> float:
+                          level: int | None = None) -> float:
     """Sum-rate upper bound evaluated with the exact amplitude summation.
 
     Places every antenna at the closest point to the user projection within
@@ -172,6 +172,6 @@ def exact_amplitude_bound(users: UserSet, layout: WaveguideLayout, params: Syste
     user's gain is capped by its `level` nearest segments, which is the
     full-activation value only at level M. A placement of fewer segments can
     beat the level-M value once M is past the best activation level.
-    Any calls may share one `cache` dict of partial-sum terms (see `f_exact`).
+    The partial-sum terms are kept in `users.cache` (see `f_exact`).
     """
-    return _bound_rate(users, layout, params, partial(f_exact, cache=cache), level)
+    return _bound_rate(users, layout, params, partial(f_exact, cache=users.cache), level)

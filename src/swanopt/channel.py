@@ -21,7 +21,7 @@ def segment_gains(users: UserSet, segment: int, antenna_x, layout: WaveguideLayo
     """
     lo, hi = layout.segment_interval(segment)
     x = np.atleast_1d(np.asarray(antenna_x, dtype=float))
-    if np.any(x < lo) or np.any(x > hi):
+    if not np.all((lo <= x) & (x <= hi)):  # also false for NaN
         raise ValueError(f"antenna position outside segment {segment} interval [{lo}, {hi}]")
     d_sq = users.dist_sq_to_axis(layout.height_m)
     r = np.sqrt((users.x[:, None] - x[None, :]) ** 2 + d_sq[:, None])

@@ -4,11 +4,11 @@ Units are SI throughout: meters, watts, Hz, radians. Transmit and noise
 powers cross the configuration boundary in dBm and are converted to watts
 here. Segment indices are 0-based everywhere in this package.
 
-All types in this module are immutable after construction and safe to
-share across concurrent workers.
+All types in this module are immutable after construction, apart from the
+memo that each `UserSet` keeps in its `cache`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,17 +41,15 @@ class SystemParams:
     min_spacing_m: float | None = None
 
     def __post_init__(self):
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be positive")
-        if self.n_eff <= 0:
-            raise ValueError("n_eff must be positive")
-        if self.noise_power_w <= 0:
-            raise ValueError("noise_power_w must be positive")
-        if self.kappa_db_per_m < 0:
-            raise ValueError("kappa_db_per_m must be nonnegative")
+        # Comparison chains, which NaN fails too; a NaN spacing would pass every spacing test.
+        for name in ("carrier_freq_hz", "n_eff", "noise_power_w"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.kappa_db_per_m < np.inf:
+            raise ValueError(f"kappa_db_per_m must be nonnegative and finite, got {self.kappa_db_per_m}")
         if self.min_spacing_m is None:
             object.__setattr__(self, "min_spacing_m", self.wavelength_m / 2.0)
-        elif not 0 < self.min_spacing_m < np.inf:  # also false for NaN, which every spacing test would pass
+        elif not 0 < self.min_spacing_m < np.inf:
             raise ValueError(f"min_spacing_m must be positive and finite, got {self.min_spacing_m}")
 
     @cached_property
@@ -91,10 +89,11 @@ class WaveguideLayout:
     def __post_init__(self):
         if self.num_segments < 1:
             raise ValueError("num_segments must be at least 1")
-        if self.segment_length_m <= 0:
-            raise ValueError("segment_length_m must be positive")
-        if self.height_m <= 0:
-            raise ValueError("height_m must be positive")
+        for name in ("segment_length_m", "height_m"):
+            if not 0 < getattr(self, name) < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not -np.inf < self.start_x < np.inf:
+            raise ValueError(f"start_x must be finite, got {self.start_x}")
 
     @cached_property
     def feed_x(self) -> tuple[float, ...]:
@@ -121,11 +120,14 @@ class UserSet:
     """Positions and transmit powers of the K uplink users.
 
     Arrays are 1-d of equal length and are frozen read-only on construction.
+    `cache` is this user set's memo of the optimizers' grid gains and the
+    exact bound's terms; each key holds every other input of its value.
     """
 
     x: np.ndarray
     y: np.ndarray
     power_w: np.ndarray
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float).copy()

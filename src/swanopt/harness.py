@@ -21,9 +21,10 @@ points: the realization's stream keeps its draws from point to point
 (until the user count changes) and draws further only when no kept draw
 fits, so the accepted draws and counts are those of a fresh stream at
 every point. Redraws come in doubling blocks, and only a draw that a bound
-scheme gets becomes a `UserSet`. The stream also holds its realization's
-cache: the optimizers' grid-gain blocks (see `grid_gain_table`), each
-computed once per distinct segment interval, and the exact bound's terms.
+scheme gets becomes a `UserSet`. The stream keeps those user sets, so the
+cache of each (the grid-gain blocks of `grid_gain_table` and the exact
+bound's terms) serves every point and scheme of one realization and user
+count; the sweep empties them when it drops the stream.
 """
 
 import hashlib
@@ -297,8 +298,7 @@ class _UserStream:
     Draw 0, `users`, is the user set every scheme sees. The stream keeps
     every draw's x-range and coordinates, so that the sweep points of one
     realization with the same user count reuse them, and builds a `UserSet`
-    only for a draw that `inside` returns. `cache` holds the grid-gain
-    blocks of `users` and the exact bound's terms, which fit any user set.
+    only for a draw that `inside` returns.
     """
 
     def __init__(self, config: ExperimentConfig, num_users: int, realization: int):
@@ -308,7 +308,11 @@ class _UserStream:
         self.users = sample_users(num_users, config.region_x_m, config.region_y_m, config.tx_power_w, self.rng)
         self.draws = [(float(self.users.x.min()), float(self.users.x.max()), self.users.x, self.users.y)]
         self.built = {0: self.users}  # the user sets `inside` has returned, by draw index
-        self.cache: dict = {}
+
+    def close(self) -> None:
+        """Empty the caches of the stream's user sets, which a scheme's caller may still hold."""
+        for users in self.built.values():
+            users.cache.clear()
 
     def _draw_block(self) -> None:
         """Draw as many more draws as the stream holds, up to MAX_REDRAWS + 1 in all."""
@@ -356,10 +360,9 @@ def _require_positive(rate: float, scheme: str, where: str, config: ExperimentCo
         )
 
 
-def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, cache, where: str):
+def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, where: str):
     """Call one scheme with the config's settings; return its result and its rate.
 
-    The optimizers and the exact bound read and fill `cache` (see `_UserStream`).
     A FloatingPointError counts as an infinite rate, which `_require_positive`
     rejects like any rate at `where` that is not finite and positive.
     """
@@ -369,19 +372,19 @@ def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, ca
     # globals, pass the variant explicitly and keep those result types.
     try:
         if scheme == "bound-exact":
-            result = rate = exact_amplitude_bound(users, layout, params, cache=cache)
+            result = rate = exact_amplitude_bound(users, layout, params)
         elif scheme == "bound-integral":
             result = rate = sum_rate_bound(users, layout, params)
         elif scheme == "hssa-1":
-            result = greedy_hssa_type1(users, layout, params, config.grid_points, cache=cache)
+            result = greedy_hssa_type1(users, layout, params, config.grid_points)
             rate = result.best_rate
         elif scheme == "hssa-2":
             result = greedy_hssa_type2(users, layout, params, config.grid_points,
-                                       tol=config.ao_tol, max_iter=config.ao_max_iter, cache=cache)
+                                       tol=config.ao_tol, max_iter=config.ao_max_iter)
             rate = result.best_rate
         else:
             result = full_sa_baseline(users, layout, params, config.grid_points, "type" + scheme[-1],
-                                      tol=config.ao_tol, max_iter=config.ao_max_iter, cache=cache)
+                                      tol=config.ao_tol, max_iter=config.ao_max_iter)
             rate = result[1]
     except FloatingPointError:
         result = rate = math.inf
@@ -411,6 +414,8 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
         stream = None
         for p, ((_, _, num_users), layout, where) in enumerate(zip(points, layouts, wheres)):
             if stream is None or stream.num_users != num_users:
+                if stream is not None:
+                    stream.close()
                 stream = None  # drop the old draws first, so that one stream is alive at a time
                 stream = _UserStream(config, num_users, r)
             bound_users = stream.users
@@ -418,7 +423,8 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
                 bound_users, redraws[p, r] = stream.inside(*layout.extent)
             for i, scheme in enumerate(config.schemes):
                 chosen = bound_users if is_bound[i] else stream.users
-                _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, stream.cache, where)
+                _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, where)
+        stream.close()
     return SweepResult(config, sweep_var, values, rates, redraws)
 
 
@@ -459,8 +465,8 @@ def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
         raise ValueError("single run needs hssa-1 and/or hssa-2 in schemes")
     params = config.system_params()
     layout = config.layout_for(config.num_segments)
-    stream = _UserStream(config, config.num_users, 0)  # both greedy schemes search its cache's grid gains
-    return {s: _run_scheme(s, stream.users, layout, params, config, stream.cache, "the single run")[0] for s in greedy}
+    users = _UserStream(config, config.num_users, 0).users  # both greedy schemes share its cached grid gains
+    return {s: _run_scheme(s, users, layout, params, config, "the single run")[0] for s in greedy}
 
 
 def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:

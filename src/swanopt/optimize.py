@@ -18,8 +18,8 @@ problem gets the bits it gets alone. The phase-shifter search grid-searches
 every candidate first and then runs AO on all of a level's candidates at
 once; the baseline runs it on a stack of one, warm-started, through
 `phase_alternating_opt`. Every optimizer reads its grid gains through
-`grid_gain_table`: computed once per call, or once per distinct segment
-interval over all the calls and layouts that share the caller's `cache`.
+`grid_gain_table`: computed once per user set and distinct segment
+interval, height, grid size and params, and kept in the user set's `cache`.
 
 All three searches keep one spacing mask per segment (`_free_points`) and,
 after an antenna is placed or moved, rebuild the masks of the segments less
@@ -141,15 +141,13 @@ def _segments_near(grid_ends, xs, min_spacing_m):
 
 
 def _cached(cache, key, compute):
-    """`compute()`, kept in `cache` under `key` when a cache dict is given."""
-    if cache is None:
-        return compute()
+    """`compute()`, kept in the dict `cache` under `key`."""
     if key not in cache:
         cache[key] = compute()
     return cache[key]
 
 
-def grid_gain_table(users, layout, params, grid_points, cache=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def grid_gain_table(users, layout, params, grid_points) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per segment, its candidate grid and the (K, Q) gains at every grid point.
 
     The gains do not depend on the other antennas, so one table serves every
@@ -158,16 +156,15 @@ def grid_gain_table(users, layout, params, grid_points, cache=None) -> list[tupl
     returns on the same subset, because the kernel is elementwise.
 
     A segment's entry depends on the layout only through its interval and
-    height, so a `cache` dict shared by the calls on one user set, one set
-    of params, one height and one `grid_points` keeps each entry under
-    `layout.segment_interval(m)` and hands it to every call and layout with
-    that interval.
+    height, so `users.cache` keeps it under (*interval, height, grid_points,
+    params) and hands it to every call and layout with those inputs.
     """
     def entry(m):
         grid = candidate_grid(m, layout, grid_points)
         return grid, segment_gains(users, m, grid, layout, params)
 
-    return [_cached(cache, layout.segment_interval(m), lambda: entry(m)) for m in range(layout.num_segments)]
+    return [_cached(users.cache, (*layout.segment_interval(m), layout.height_m, grid_points, params),
+                    lambda: entry(m)) for m in range(layout.num_segments)]
 
 
 def _best_grid_point(grid, block, free, aggregate, n_active, users, params, align):
@@ -343,10 +340,10 @@ def _switch_only_level(table, free, searchable, peak, aggregate, n_active, users
     return best, searches
 
 
-def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
+def _greedy(users, layout, params, grid_points, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
     # Committed state: the placement, in activation order, and the (K, S)
     # gain matrix whose columns are reused by every later level.
-    table = grid_gain_table(users, layout, params, grid_points, cache)
+    table = grid_gain_table(users, layout, params, grid_points)
     spacing = params.min_spacing_m
     placement = Placement((), (), ())
     gains = np.zeros((users.num_users, 0), dtype=complex)
@@ -393,29 +390,27 @@ def _greedy(users, layout, params, grid_points, cache, *, type2: bool, tol: floa
                        grid_searches=grid_searches)
 
 
-def greedy_hssa_type1(users, layout, params, grid_points, cache=None) -> GreedyTrace:
+def greedy_hssa_type1(users, layout, params, grid_points) -> GreedyTrace:
     """Greedy segment activation and placement for the switch-only architecture.
 
     At every level the inactive segments are trial-placed with a 1-d grid
     search, skipping those whose rate cap cannot beat the best found; the
     best segment is committed, and the level is stored. The best stored
     level dominates full activation by construction. The grid gains come
-    from `grid_gain_table(users, layout, params, grid_points, cache)`.
+    from `grid_gain_table(users, layout, params, grid_points)`.
     """
-    return _greedy(users, layout, params, grid_points, cache, type2=False, tol=0.0, max_iter=0)
+    return _greedy(users, layout, params, grid_points, type2=False, tol=0.0, max_iter=0)
 
 
-def greedy_hssa_type2(users, layout, params, grid_points, tol: float = 1e-8, max_iter: int = 100,
-                      cache=None) -> GreedyTrace:
+def greedy_hssa_type2(users, layout, params, grid_points, tol: float = 1e-8, max_iter: int = 100) -> GreedyTrace:
     """Greedy activation and placement with per-segment phase shifters.
 
     Like the switch-only search, but without pruning: every inactive segment
     with a feasible grid point is a candidate and is re-scored after a full
     phase alternating optimization (all-zero initialization). The committed
-    snapshot carries the converged phases. `cache` is as for
-    `greedy_hssa_type1`.
+    snapshot carries the converged phases.
     """
-    return _greedy(users, layout, params, grid_points, cache, type2=True, tol=tol, max_iter=max_iter)
+    return _greedy(users, layout, params, grid_points, type2=True, tol=tol, max_iter=max_iter)
 
 
 def _leftmost_start(table, min_spacing_m):
@@ -438,7 +433,7 @@ def _leftmost_start(table, min_spacing_m):
 
 
 def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
-                     tol: float = 1e-8, max_iter: int = 100, cache=None):
+                     tol: float = 1e-8, max_iter: int = 100):
     """Coordinate-descent baseline with all segments activated.
 
     Antennas start at their segment midpoints, or, when the spacing is
@@ -451,8 +446,8 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
     current phases so the rate stays nondecreasing, with the AO stop rule
     `tol` and `max_iter` of `phase_alternating_opt`. Stops when the relative
     rate improvement of a sweep falls below `tol` or after
-    FULL_SA_MAX_SWEEPS sweeps. `cache` is as for `grid_gain_table`, and
-    also keeps the midpoint gain columns, under ("midpoint", *interval).
+    FULL_SA_MAX_SWEEPS sweeps. Beside the grid gains, `users.cache` keeps the
+    midpoint gain columns, under ("midpoint", *interval, height, params).
 
     Returns (placement, rate).
     """
@@ -460,10 +455,10 @@ def full_sa_baseline(users, layout, params, grid_points, variant: str = "type1",
         raise ValueError(f"unknown variant {variant!r}")
     num_segments = layout.num_segments
     spacing = params.min_spacing_m
-    table = grid_gain_table(users, layout, params, grid_points, cache)
+    table = grid_gain_table(users, layout, params, grid_points)
     pos = np.array([layout.feed_x[m] + layout.segment_length_m / 2.0 for m in range(num_segments)])
     if num_segments == 1 or np.diff(pos).min() >= spacing:
-        gains = np.concatenate([_cached(cache, ("midpoint", *layout.segment_interval(m)),
+        gains = np.concatenate([_cached(users.cache, ("midpoint", *layout.segment_interval(m), layout.height_m, params),
                                         lambda: segment_gains(users, m, float(pos[m]), layout, params))
                                 for m in range(num_segments)], axis=1)
     else:

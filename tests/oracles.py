@@ -1,10 +1,13 @@
 """Reference forms that only the tests use."""
 
 import itertools
+import os
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+import swanopt
 from swanopt.bound import split_for_user, user_gain_bound
 from swanopt.channel import segment_gains
 from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, sample_users
@@ -31,6 +34,18 @@ class User(NamedTuple):
 def user_at(users: UserSet, k: int) -> User:
     """User k of a user set, as plain floats."""
     return User(float(users.x[k]), float(users.y[k]), float(users.power_w[k]))
+
+
+def cli_env(**overrides) -> dict:
+    """This process's environment for a `python -m swanopt.cli` child, so that it imports the tests' swanopt."""
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(swanopt.__file__).parents[1]), env.get("PYTHONPATH"))))
+    return env
+
+
+def fresh(users: UserSet) -> UserSet:
+    """The same users with an empty cache, so that a call on them computes everything anew."""
+    return UserSet(users.x, users.y, users.power_w)
 
 
 def params_28ghz(**kw) -> SystemParams:

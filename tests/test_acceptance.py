@@ -18,14 +18,20 @@ markers with the measured evidence in the reason string:
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
-from oracles import element_update, empty_placement, exhaustive_zero_phase_rate, quadratic_objective, with_segment
+from oracles import (
+    cli_env,
+    element_update,
+    empty_placement,
+    exhaustive_zero_phase_rate,
+    quadratic_objective,
+    with_segment,
+)
 from oracles import means as csv_means
 
 from swanopt.bound import exact_amplitude_bound, f_exact, f_integral, sum_rate_bound, user_gain_bound
@@ -395,9 +401,7 @@ def test_c10_reruns_and_thread_counts_are_byte_identical(tmp_path):
     outputs = []
     for threads, name in (("1", "a.csv"), ("4", "b.csv")):
         out = tmp_path / name
-        env = dict(os.environ)
-        env.update({"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
-                    "MKL_NUM_THREADS": threads})
+        env = cli_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "swanopt.cli", "segment-sweep",
              "--config", str(config_path), "--output", str(out), "--quiet"],

@@ -19,6 +19,7 @@ from oracles import (
     effective_channel,
     empty_placement,
     f_exact_sum,
+    fresh,
     params_28ghz,
     user_at,
     with_segment,
@@ -368,7 +369,7 @@ class TestLeanKernelBits:
 
 
 class TestExactBoundTermCache:
-    """One cache shared by every bound call gives the bits of the calls without one."""
+    """A user set's cache, shared by every bound call on it, gives the bits of calls on fresh user sets."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -381,7 +382,6 @@ class TestExactBoundTermCache:
     )
     def test_shared_cache_matches_uncached_bounds(self, length, counts, num_users, seeds, data):
         params = params_28ghz()
-        cache = {}
         narrowest = min(counts) * length
         for seed in seeds:
             # Inside the narrowest layout's extent, so inside every layout's.
@@ -389,12 +389,12 @@ class TestExactBoundTermCache:
             # A longer layout first leaves entries longer than any later sum needs.
             for m in (3 * max(counts), *counts):
                 layout = build_centered_layout(m, length, 3.0)
-                exact = exact_amplitude_bound(users, layout, params, cache=cache)
+                exact = exact_amplitude_bound(users, layout, params)
                 assert exact.hex() == bound_rate_per_user(users, layout, params, f_exact_sum).hex()
                 level = data.draw(st.integers(1, m))
-                assert (exact_amplitude_bound(users, layout, params, level, cache=cache).hex()
-                        == exact_amplitude_bound(users, layout, params, level).hex())
-        assert cache and all(key[0] == "f_exact" for key in cache)
+                assert (exact_amplitude_bound(users, layout, params, level).hex()
+                        == exact_amplitude_bound(fresh(users), layout, params, level).hex())
+            assert users.cache and all(key[0] == "f_exact" for key in users.cache)
 
     def test_negative_edge_distance_still_raises(self):
         cache = {}

@@ -131,7 +131,8 @@ class TestCascadedGain:
             cascaded_gain(User(0.0, 0.0, 0.01), 0, 0.0, self.layout, self.params)
         users = UserSet(x=np.zeros(2), y=np.zeros(2), power_w=np.full(2, 0.01))
         lo, hi = self.layout.segment_interval(0)
-        for antenna_x in (lo - 1e-9, hi + 1e-9, [lo, hi, 0.0]):  # a scalar, and one bad point of a block
+        # A scalar, one bad point of a block, and NaN, which every comparison fails.
+        for antenna_x in (lo - 1e-9, hi + 1e-9, [lo, hi, 0.0], np.nan, [lo, np.nan]):
             with pytest.raises(ValueError, match="outside segment 0 interval"):
                 segment_gains(users, 0, antenna_x, self.layout, self.params)
 

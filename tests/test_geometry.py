@@ -52,9 +52,11 @@ class TestSystemParams:
         {"min_spacing_m": 0.0},
         {"min_spacing_m": np.nan},  # every spacing comparison with NaN is false
         {"min_spacing_m": np.inf},
+        *({name: bad} for name in ("carrier_freq_hz", "n_eff", "noise_power_w", "kappa_db_per_m")
+          for bad in (np.nan, np.inf)),
     ])
     def test_rejects_bad_arguments(self, kw):
-        with pytest.raises(ValueError, match=next(iter(kw))):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be .*, got {next(iter(kw.values()))}"):
             params_28ghz(**kw)
 
 
@@ -91,6 +93,14 @@ class TestLayout:
     def test_rejects_bad_arguments(self, kw):
         with pytest.raises(ValueError):
             build_centered_layout(**kw)
+
+    @pytest.mark.parametrize("key", ["segment_length_m", "height_m", "start_x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, key, bad):
+        # A NaN length or start made the extent (nan, nan), and an infinite length (nan, inf).
+        kw = {"num_segments": 2, "segment_length_m": 1.0, "height_m": 3.0, "start_x": 0.0, key: bad}
+        with pytest.raises(ValueError, match=f"{key} must be .*finite, got {bad}"):
+            WaveguideLayout(**kw)
 
 
 class TestSampleUsers:

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import PerDrawStream, row, rows
+from oracles import PerDrawStream, cli_env, row, rows
 
 import swanopt.cli
 import swanopt.harness as harness
@@ -433,6 +432,20 @@ class TestSweepEngine:
                                         realizations=3, schemes=("bound-exact", "hssa-1")))
         assert len(most) == 3 * 3 and max(most) == 1
 
+    def test_held_user_sets_lose_their_caches_with_their_stream(self, monkeypatch):
+        # A scheme's caller, such as a tracing wrapper, may keep every user set it was given; their caches
+        # (grid-gain tables and bound terms) must still go when the stream does, as they did with a stream's cache.
+        held = []
+        for name in ("exact_amplitude_bound", "greedy_hssa_type1"):
+            def holding(users, *args, fn=getattr(harness, name)):
+                held.append(users)
+                return fn(users, *args)
+
+            monkeypatch.setattr(harness, name, holding)
+        run_user_sweep(self.make_config(segment_sweep=None, num_segments=6, num_users=None, user_sweep=(2, 1, 1, 3),
+                                        realizations=3, schemes=("bound-exact", "hssa-1")))
+        assert len(held) == 2 * 4 * 3 and not any(users.cache for users in held)
+
     def test_each_scheme_runs_once_per_point_and_realization(self, tmp_path, monkeypatch):
         # Record every call of the five scheme functions as the harness makes
         # it, by CSV label and segment count: the users it got and its rate.
@@ -848,7 +861,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "swanopt.cli", "bound-sweep",
              "--config", cfg, "--output", str(tmp_path / "x.csv"), "--quiet"],
-            env=dict(os.environ), capture_output=True, text=True, timeout=60,
+            env=cli_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2
         assert "redraws" in proc.stderr
@@ -923,7 +936,7 @@ class TestAcceptedConfigsFinish:
             cfg.write_text(text)
             proc = subprocess.run([sys.executable, "-m", "swanopt.cli", command, "--config", str(cfg),
                                    "--output", str(out), "--quiet"],
-                                  env=dict(os.environ), capture_output=True, text=True, timeout=60)
+                                  env=cli_env(), capture_output=True, text=True, timeout=60)
             assert proc.returncode == (2 if expected is None else 0), proc.stderr
             if expected is not None:
                 assert out.read_text() == expected

@@ -10,14 +10,17 @@ from oracles import (
     element_update,
     empty_placement,
     exhaustive_zero_phase_rate,
+    fresh,
     full_sa_rescan,
     params_28ghz,
     quadratic_objective,
     with_segment,
 )
 
+from swanopt import optimize
+from swanopt.bound import exact_amplitude_bound
 from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_gains
-from swanopt.geometry import Placement, UserSet, WaveguideLayout, build_centered_layout, sample_users
+from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, build_centered_layout, sample_users
 from swanopt.optimize import (
     GreedyTrace,
     _best_grid_point,
@@ -633,7 +636,7 @@ class TestBoundPruning:
         # its margin rounds below segment 0's rate (found by random search).
         (1.0, [2], [13.130272488412855, 9.83854782023462], [1.817288772715028, 1.5026990031763663]),
     ])
-    def test_switch_only_tie_goes_to_the_smaller_segment(self, noise_power_w, committed, a, c):
+    def test_switch_only_tie_goes_to_the_smaller_segment(self, monkeypatch, noise_power_w, committed, a, c):
         # Segments 0 and 1 share their best column c, so they tie on rate.
         # Segment 1's other column has a larger gain for user 0 and a smaller
         # sum, so its bound is larger and it is searched first. Segment 0's
@@ -648,8 +651,8 @@ class TestBoundPruning:
         far = np.zeros(2) if a is None else np.array(a)
         blocks = [np.stack([c, c], axis=1), np.stack([c, strong], axis=1), np.stack([far, far], axis=1)]
         table = [(candidate_grid(m, layout, 2), block.astype(complex)) for m, block in enumerate(blocks)]
-        cache = {layout.segment_interval(m): entry for m, entry in enumerate(table)}
-        trace = greedy_hssa_type1(users, layout, params, 2, cache=cache)
+        monkeypatch.setattr(optimize, "grid_gain_table", lambda *args: table)
+        trace = greedy_hssa_type1(users, layout, params, 2)
         assert [lvl.placement.active[-1] for lvl in trace.levels[:len(committed)]] == committed
         tied = trace.levels[len(committed)]
         assert tied.placement.active[-1] == 0 and tied.placement.positions[-1] == table[0][0][0]
@@ -707,20 +710,42 @@ class TestSharedTable:
     def test_results_do_not_depend_on_who_builds_the_table(self, scenario):
         users, layout, params, q = scenario
         seg_len, height = layout.segment_length_m, layout.height_m
-        # One cache filled by the scenario's layout, a layout it nests in
-        # (one more segment) and a layout of 0.3 m segments.
+        # One user set's cache filled by the scenario's layout, a layout it
+        # nests in (one more segment) and a layout of 0.3 m segments.
         nesting = WaveguideLayout(layout.num_segments + 1, seg_len, height, layout.start_x)
         layouts = (layout, nesting, build_centered_layout(layout.num_segments, 0.3, height))
-        cache = {}
         for lay in layouts:
-            assert greedy_hssa_type1(users, lay, params, q, cache=cache) == greedy_hssa_type1(users, lay, params, q)
-            assert (greedy_hssa_type2(users, lay, params, q, cache=cache)
-                    == greedy_hssa_type2(users, lay, params, q))
+            assert greedy_hssa_type1(users, lay, params, q) == greedy_hssa_type1(fresh(users), lay, params, q)
+            assert greedy_hssa_type2(users, lay, params, q) == greedy_hssa_type2(fresh(users), lay, params, q)
             for variant in ("type1", "type2"):
-                shared = outcome(full_sa_baseline, users, lay, params, q, variant, cache=cache)
-                assert shared == outcome(full_sa_baseline, users, lay, params, q, variant)
-        intervals = {lay.segment_interval(m) for lay in layouts for m in range(lay.num_segments)}
-        assert {key for key in cache if key[0] != "midpoint"} == intervals  # one grid entry per distinct interval
+                shared = outcome(full_sa_baseline, users, lay, params, q, variant)
+                assert shared == outcome(full_sa_baseline, fresh(users), lay, params, q, variant)
+        # One grid entry per distinct interval.
+        intervals = {(*lay.segment_interval(m), height, q, params) for lay in layouts for m in range(lay.num_segments)}
+        assert {key for key in users.cache if key[0] != "midpoint"} == intervals
+
+
+class TestUserSetCache:
+    SCHEMES = {
+        "hssa-1": lambda users, layout, params, q: greedy_hssa_type1(users, layout, params, q).best_rate,
+        "hssa-2": lambda users, layout, params, q: greedy_hssa_type2(users, layout, params, q).best_rate,
+        "full-sa-1": lambda users, layout, params, q: full_sa_baseline(users, layout, params, q, "type1")[1],
+        "full-sa-2": lambda users, layout, params, q: full_sa_baseline(users, layout, params, q, "type2")[1],
+        "bound-exact": lambda users, layout, params, q: exact_amplitude_bound(users, layout, params),
+    }
+
+    def test_calls_with_other_inputs_get_fresh_bits(self):
+        # Keyed by the segment interval alone, the 1000-point calls got the 50-point gains, the
+        # attenuated calls the unattenuated ones, and the lower layout the higher one's.
+        users = sample_users(3, 4.0, 20.0, 0.01, 5)  # inside the 4 m waveguide, for the bound
+        for kappa in (0.0, 0.5):
+            params = SystemParams(28e9, 1.4, 1e-12, kappa_db_per_m=kappa)
+            for height in (3.0, 2.0):
+                layout = build_centered_layout(4, 1.0, height)
+                for q in (50, 1000):
+                    for name, rate in self.SCHEMES.items():
+                        assert (rate(users, layout, params, q).hex()
+                                == rate(fresh(users), layout, params, q).hex()), (name, kappa, height, q)
 
 
 class TestKeptMaskDescent:
@@ -743,12 +768,11 @@ class TestKeptMaskDescent:
         seg_len=st.one_of(st.just(0.3), st.floats(0.2, 2.0))))
     def test_equals_rescanning_every_mask_bit_for_bit(self, scenario):
         # Spacings above one segment length start from the leftmost placement
-        # or find none; the sweep harness shares one cache between the variants.
+        # or find none; the two variants share the user set's cache, as in a sweep.
         users, layout, params, q = scenario
-        cache = {}
         for variant in ("type1", "type2"):
-            kept = outcome(full_sa_baseline, users, layout, params, q, variant, cache=cache)
-            assert self.hexed(kept) == self.hexed(outcome(full_sa_rescan, users, layout, params, q, variant))
+            kept = outcome(full_sa_baseline, users, layout, params, q, variant)
+            assert self.hexed(kept) == self.hexed(outcome(full_sa_rescan, fresh(users), layout, params, q, variant))
 
 
 class TestPlacementValidity:
