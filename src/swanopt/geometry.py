@@ -47,6 +47,18 @@ class SystemParams:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.kappa_db_per_m < np.inf:
             raise ValueError(f"kappa_db_per_m must be nonnegative and finite, got {self.kappa_db_per_m}")
+        # Finite extreme inputs can overflow, underflow to 0 or raise in the derived quantities.
+        for name, quantity, key in (("wavelength_m", "the free-space wavelength", "carrier_freq_hz"),
+                                    ("guided_wavelength_m", "the guided wavelength", "n_eff"),
+                                    ("wavenumber", "the wavenumber", "carrier_freq_hz"),
+                                    ("eta", "the free-space gain at 1 m", "carrier_freq_hz")):
+            try:
+                derived = getattr(self, name)
+            except ArithmeticError:
+                derived = np.nan
+            if not 0 < derived < np.inf:
+                raise ValueError(f"{key} = {getattr(self, key):.6g} is out of range: "
+                                 f"{quantity} is not a positive finite double")
         if self.min_spacing_m is None:
             object.__setattr__(self, "min_spacing_m", self.wavelength_m / 2.0)
         elif not 0 < self.min_spacing_m < np.inf:

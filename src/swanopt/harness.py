@@ -123,8 +123,8 @@ class ExperimentConfig:
             ("tx_power_dbm", "the transmit power in watts", lambda: self.tx_power_w),
             ("noise_dbm", "the noise power in watts", lambda: dbm_to_watts(self.noise_dbm)),
             ("carrier_freq_hz", "the free-space wavelength", lambda: SPEED_OF_LIGHT_M_S / self.carrier_freq_hz),
-            ("carrier_freq_hz", "the free-space gain at 1 m", lambda: self.system_params().eta),
-            # The gain kernel's phase along a segment; an overflow there gives NaN gains.
+            # The gain kernel's phase along a segment; an overflow there gives NaN gains. `SystemParams`
+            # rejects the carriers whose free-space gain at 1 m is not a positive finite double.
             ("n_eff", "the guided phase over one segment",
              lambda: 2.0 * math.pi * self.segment_length_m / self.system_params().guided_wavelength_m),
         ):

@@ -15,9 +15,9 @@ after each sweep.
 One AO kernel serves both phase-shifter schemes. It runs on a stack of
 phase matrices whose problems leave the stack as they converge, so every
 problem gets the bits it gets alone. The phase-shifter search grid-searches
-every candidate first and then runs AO on all of a level's candidates at
-once; the baseline runs it on a stack of one, warm-started, through
-`phase_alternating_opt`. Every optimizer reads its grid gains through
+all of a level's segments as one stack and then runs AO on all of its
+candidates at once; the baseline runs it on a stack of one, warm-started,
+through `phase_alternating_opt`. Every optimizer reads its grid gains through
 `grid_gain_table`: computed once per user set and distinct segment
 interval, height, grid size and params, and kept in the user set's `cache`.
 
@@ -167,35 +167,62 @@ def grid_gain_table(users, layout, params, grid_points) -> list[tuple[np.ndarray
                     lambda: entry(m)) for m in range(layout.num_segments)]
 
 
-def _best_grid_point(grid, block, free, aggregate, n_active, users, params, align):
-    """Best feasible grid position for a trial antenna, committed antennas fixed.
+def _best_grid_point(grid, block, free, aggregate, n_active, users, params):
+    """Best feasible grid position for a trial antenna at zero phase, committed antennas fixed.
 
     `grid` and `block` are one segment's entry of the grid-gain table, and
     `free` is the boolean mask of its grid points clear of the committed
     antennas, or None when all are. `aggregate` holds the per-user
-    unnormalized channel sums of the committed antennas. With `align` the
-    trial antenna's phase shifter is set to the single-element optimum
-    against that aggregate; otherwise it stays at zero. Returns (position,
+    unnormalized channel sums of the committed antennas. Returns (position,
     sum_rate, gain column at that position).
     """
     pts, gains = (grid, block) if free is None else (grid[free], block[:, free])
-    if align and n_active:
-        # Best phase for the new antenna with all committed phases held fixed.
-        s = np.sum(users.power_w[:, None] * gains * np.conj(aggregate)[:, None], axis=0)
-        v = np.where(s == 0, 1.0 + 0.0j, np.exp(-1j * np.angle(s)))
-        h = aggregate[:, None] + v * gains
-    else:
-        h = aggregate[:, None] + gains
+    snr = _trial_snr(aggregate[:, None] + gains, n_active, users, params)
+    i = int(np.argmax(snr))
+    return float(pts[i]), float(np.log2(1.0 + snr[i])), gains[:, i]
+
+
+def _trial_snr(h, n_active, users, params):
+    """SNRs of the unnormalized channel sums h of n_active + 1 antennas, users on axis -2; scales h in place."""
     # NumPy divides by a real-valued complex through its reciprocal, so this
     # gives the magnitudes that dividing by sqrt(n + 1) gives, bit for bit.
     h *= 1.0 / np.sqrt(n_active + 1)
     received = np.abs(h)
     np.square(received, out=received)
     received *= users.power_w[:, None]
-    snr = received.sum(axis=0)
+    snr = received.sum(axis=-2)
     snr /= params.noise_power_w
-    i = int(np.argmax(snr))
-    return float(pts[i]), float(np.log2(1.0 + snr[i])), gains[:, i]
+    return snr
+
+
+def _aligned_level_search(table, free, searchable, aggregate, n_active, users, params):
+    """Positions (S,) and gain columns (S, K) of the searchable segments' best grid points, phases aligned.
+
+    The trial antenna's phase is the single-element optimum against
+    `aggregate` (zero at the first level). The (S, K, Q) stack takes the
+    elementwise operations, in their operand order, that give one segment's
+    free points their bits (`aligned_grid_point` in the tests' oracles);
+    blocked points score -1, below every free point.
+    """
+    blocks = [table[m][1] for m in searchable]
+    h = np.stack(blocks)
+    if n_active:
+        # A complex product's bits depend on its operand order, so no step swaps it.
+        np.multiply(users.power_w[:, None], h, out=h)
+        h *= np.conj(aggregate)[:, None]
+        s = h.sum(axis=1)
+        v = np.exp(-1j * np.arctan2(s.imag, s.real))  # np.angle's arithmetic
+        v[s == 0] = 1.0
+        # Restacked rather than kept beside h: one (S, K, Q) array at a time.
+        np.multiply(v[:, None, :], np.stack(blocks, out=h), out=h)
+    h += aggregate[:, None]
+    snr = _trial_snr(h, n_active, users, params)
+    for i, m in enumerate(searchable):
+        if free[m] is not None:
+            snr[i, ~free[m]] = -1.0
+    best = snr.argmax(axis=1).tolist()
+    return ([float(table[m][0][j]) for m, j in zip(searchable, best)],
+            np.stack([block[:, j] for block, j in zip(blocks, best)]))
 
 
 def build_phase_matrix(gains: np.ndarray, power_w: np.ndarray) -> np.ndarray:
@@ -246,7 +273,7 @@ def _stacked_ao(a: np.ndarray, tol: float, max_iter: int, init=None):
     gets alone. The element dot is a stacked matmul, which gives np.dot's
     bits, and the diagonal term is written out in real arithmetic, because
     an array complex multiply fuses multiply-adds and rounds differently
-    from the scalar product.
+    from the scalar product. Within a sweep only conj(v) is kept current.
     """
     count, s, _ = a.shape
     v = np.ones((count, s), dtype=complex) if init is None else np.array(init, dtype=complex)
@@ -260,26 +287,29 @@ def _stacked_ao(a: np.ndarray, tol: float, max_iter: int, init=None):
     obj = objective(a, v, np.conj(v))
     # The live problems: their indices, matrices, phase vectors and objectives.
     live, la, lv, lobj = np.arange(count), a, v.copy(), obj.copy()
+    conj_v = np.conj(lv)
     refresh = True
     for sweep in range(1, max_iter + 1):
         if refresh:
             rows = [la[:, m, None, :] for m in range(s)]
             diag = la.diagonal(axis1=1, axis2=2)
-            d_re, d_im = diag.real.T.copy(), diag.imag.T.copy()
-            conj_v = np.conj(lv)
+            d_re, d_im = diag.real.T, diag.imag.T
             column = conj_v[:, :, None]
+        # Element m's own term A[m, m] conj(v[m]) reads v[m] from before the sweep: form them all now.
+        cv_re, cv_im = conj_v.real.T, conj_v.imag.T
+        own_re = d_re * cv_re - d_im * cv_im
+        own_im = d_re * cv_im + d_im * cv_re
         # Element m aligns with its coefficient sum_{n != m} A[m, n] conj(v[n]).
         for m in range(s):
             dot = np.matmul(rows[m], column)[:, 0, 0]
-            cv_re, cv_im = conj_v[:, m].real, conj_v[:, m].imag
-            c_re = dot.real - (d_re[m] * cv_re - d_im[m] * cv_im)
-            c_im = dot.imag - (d_re[m] * cv_im + d_im[m] * cv_re)
+            c_re = dot.real - own_re[m]
+            c_im = dot.imag - own_im[m]
             u = np.exp(-1j * np.arctan2(c_im, c_re))
             if np.count_nonzero(c_re) < c_re.size:  # a zero coefficient leaves the element unchanged
                 zero = (c_re == 0) & (c_im == 0)
-                u[zero] = lv[zero, m]
-            lv[:, m] = u
+                u[zero] = np.conj(conj_v[zero, m])
             np.conjugate(u, out=conj_v[:, m])
+        np.conjugate(conj_v, out=lv)
         new_obj = objective(la, lv, conj_v)
         stopped = new_obj - lobj <= tol * np.maximum(np.abs(lobj), 1e-300)
         obj[live] = new_obj
@@ -289,15 +319,15 @@ def _stacked_ao(a: np.ndarray, tol: float, max_iter: int, init=None):
         if refresh:
             v[live[stopped]] = lv[stopped]
             kept = ~stopped
-            live, la, lv, lobj = live[kept], la[kept], lv[kept], lobj[kept]
+            live, la, lv, conj_v, lobj = live[kept], la[kept], lv[kept], conj_v[kept], lobj[kept]
             if not live.size:
                 break
     v[live] = lv
     return _wrap_phases(v), obj, iterations
 
 
-def _best_phase_candidate(candidates, gains, users, noise_scale, tol, max_iter):
-    """Winner among the grid-searched (segment, position, rate, column) candidates after phase AO.
+def _best_phase_candidate(segments, positions, columns, gains, users, noise_scale, tol, max_iter):
+    """Winner after phase AO among the candidates: `segments[i]` at `positions[i]`, with gain column `columns[i]`.
 
     AO runs on every candidate's trial matrix at once. The winner has the
     highest rate, ties going to the smallest segment; comparing rates rather
@@ -306,15 +336,15 @@ def _best_phase_candidate(candidates, gains, users, noise_scale, tol, max_iter):
     candidates' AO iteration counts.
     """
     k, n = gains.shape
-    trials = np.empty((len(candidates), k, n + 1), dtype=complex)
+    trials = np.empty((len(segments), k, n + 1), dtype=complex)
     trials[:, :, :n] = gains
-    trials[:, :, n] = [column for _, _, _, column in candidates]
+    trials[:, :, n] = columns
     phases, objectives, iterations = _stacked_ao(build_phase_matrix(trials, users.power_w), tol, max_iter)
     best = None
-    for i, (m, pos, _, column) in enumerate(candidates):
+    for i, (m, pos) in enumerate(zip(segments, positions)):
         rate = float(np.log2(1.0 + float(objectives[i]) / noise_scale))
         if best is None or rate > best[0]:
-            best = (rate, m, pos, column, phases[i])
+            best = (rate, m, pos, columns[i], phases[i])
     return best, iterations
 
 
@@ -333,7 +363,7 @@ def _switch_only_level(table, free, searchable, peak, aggregate, n_active, users
         if best is not None and cap_rates[i] < best[0]:
             break
         m = searchable[i]
-        pos, rate, column = _best_grid_point(*table[m], free[m], aggregate, n_active, users, params, False)
+        pos, rate, column = _best_grid_point(*table[m], free[m], aggregate, n_active, users, params)
         searches += 1
         if best is None or rate > best[0] or (rate == best[0] and m < best[1]):
             best = (rate, m, pos, column)
@@ -364,11 +394,10 @@ def _greedy(users, layout, params, grid_points, *, type2: bool, tol: float, max_
             continue
         n_active = placement.num_active
         if type2:
-            candidates = [(m, *_best_grid_point(*table[m], free[m], aggregate, n_active, users, params, True))
-                          for m in searchable]
-            grid_searches += len(candidates)
+            positions, columns = _aligned_level_search(table, free, searchable, aggregate, n_active, users, params)
+            grid_searches += len(searchable)
             (rate, m, pos, column, phases), iterations = _best_phase_candidate(
-                candidates, gains, users, (n_active + 1) * params.noise_power_w, tol, max_iter)
+                searchable, positions, columns, gains, users, (n_active + 1) * params.noise_power_w, tol, max_iter)
             ao_runs += iterations.size
             ao_sweeps += int(iterations.sum())
             if n_active:  # problems of one element take no sweeps

@@ -127,6 +127,32 @@ def element_update(a: np.ndarray, v: np.ndarray, m: int):
     return np.exp(-1j * np.angle(s))
 
 
+def aligned_grid_point(grid, block, free, aggregate, n_active, users, params):
+    """(position, sum_rate, gain column) of one segment's best grid point, its phase aligned with the others.
+
+    The phase-shifter search's per-segment form: the trial antenna's phase
+    shifter takes the single-element optimum against `aggregate`, the
+    committed antennas' unnormalized channel sums (zero phase at the first
+    level), and `free` is the mask of usable grid points, or None for all.
+    The optimizer searches a level's segments as one stack, with these bits.
+    """
+    pts, gains = (grid, block) if free is None else (grid[free], block[:, free])
+    if n_active:
+        s = np.sum(users.power_w[:, None] * gains * np.conj(aggregate)[:, None], axis=0)
+        v = np.where(s == 0, 1.0 + 0.0j, np.exp(-1j * np.angle(s)))
+        h = aggregate[:, None] + v * gains
+    else:
+        h = aggregate[:, None] + gains
+    h *= 1.0 / np.sqrt(n_active + 1)
+    received = np.abs(h)
+    np.square(received, out=received)
+    received *= users.power_w[:, None]
+    snr = received.sum(axis=0)
+    snr /= params.noise_power_w
+    i = int(np.argmax(snr))
+    return float(pts[i]), float(np.log2(1.0 + snr[i])), gains[:, i]
+
+
 def empty_placement() -> Placement:
     """A placement with no active segment."""
     return Placement(active=(), positions=(), phases=())

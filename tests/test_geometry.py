@@ -1,5 +1,7 @@
 """Geometry: parameters, layouts, user sampling, placements."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from oracles import empty_placement, params_28ghz, spacing_violated, watts_to_db
 from swanopt.geometry import (
     SPEED_OF_LIGHT_M_S,
     Placement,
+    SystemParams,
     UserSet,
     WaveguideLayout,
     build_centered_layout,
@@ -58,6 +61,18 @@ class TestSystemParams:
     def test_rejects_bad_arguments(self, kw):
         with pytest.raises(ValueError, match=f"{next(iter(kw))} must be .*, got {next(iter(kw.values()))}"):
             params_28ghz(**kw)
+
+    @pytest.mark.parametrize("carrier_freq_hz, n_eff, key, quantity", [
+        (1e-160, 1.4, "carrier_freq_hz", "free-space gain"),  # eta overflows to inf
+        (1e300, 1.4, "carrier_freq_hz", "free-space gain"),  # carrier_freq_hz**2 raises OverflowError
+        (1e-310, 1.4, "carrier_freq_hz", "free-space wavelength"),  # c / f overflows to inf
+        (1e300, 1e40, "n_eff", "guided wavelength"),  # underflows to 0
+        (1e-150, 1e-160, "n_eff", "guided wavelength"),  # overflows to inf
+    ])
+    def test_rejects_inputs_whose_derived_quantities_leave_the_doubles(self, carrier_freq_hz, n_eff, key, quantity):
+        value = carrier_freq_hz if key == "carrier_freq_hz" else n_eff
+        with pytest.raises(ValueError, match=re.escape(f"{key} = {value:.6g} is out of range: the {quantity}")):
+            SystemParams(carrier_freq_hz, n_eff, 1e-12)
 
 
 class TestLayout:

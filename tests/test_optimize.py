@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    aligned_grid_point,
     element_update,
     empty_placement,
     exhaustive_zero_phase_rate,
@@ -23,7 +24,9 @@ from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_ga
 from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, build_centered_layout, sample_users
 from swanopt.optimize import (
     GreedyTrace,
+    _aligned_level_search,
     _best_grid_point,
+    _free_points,
     _infeasible_mask,
     _stacked_ao,
     build_phase_matrix,
@@ -55,12 +58,13 @@ def place(segment, current, users, layout, params, grid_points, align=False):
 
 
 def grid_search(grid, block, occupied, aggregate, n_active, users, params, align):
-    """`_best_grid_point` with the spacing mask built from the occupied positions; None when it blocks every point."""
+    """`_best_grid_point`, or the aligned oracle with `align`, with the spacing mask built from the occupied
+    positions; None when it blocks every point."""
     blocked = _infeasible_mask(grid, occupied, params.min_spacing_m)
     if blocked.all():
         return None
     free = ~blocked if blocked.any() else None
-    return _best_grid_point(grid, block, free, aggregate, n_active, users, params, align)
+    return (aligned_grid_point if align else _best_grid_point)(grid, block, free, aggregate, n_active, users, params)
 
 
 class TestCandidateGrid:
@@ -678,6 +682,53 @@ class TestAoCounters:
         assert trace.grid_searches == runs  # every candidate is grid-searched once
         switch_only = greedy_hssa_type1(users, layout, params, grid_points)
         assert (switch_only.ao_runs, switch_only.ao_sweeps, switch_only.ao_cap_hits) == (0, 0, 0)
+
+
+class TestAlignedLevelSearch:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(greedy_scenarios(max_grid=60), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_equals_the_lone_search_of_every_segment_bit_for_bit(self, scenario, n_active, seed):
+        users, layout, params, grid_points = scenario
+        n_active = min(n_active, layout.num_segments - 1)
+        table = grid_gain_table(users, layout, params, grid_points)
+        rng = np.random.default_rng(seed)
+        committed = rng.choice(layout.num_segments, n_active, replace=False).tolist()
+        points = [int(rng.integers(grid_points)) for _ in committed]
+        positions = np.array([table[m][0][i] for m, i in zip(committed, points)])
+        gains = np.zeros((users.num_users, n_active), dtype=complex)
+        for j, (m, i) in enumerate(zip(committed, points)):
+            gains[:, j] = table[m][1][:, i]
+        aggregate = gains @ np.exp(1j * rng.uniform(0.0, TWO_PI, n_active))
+        free = [False if m in committed else _free_points(grid, positions, params.min_spacing_m)
+                for m, (grid, _) in enumerate(table)]
+        searchable = [m for m, f in enumerate(free) if f is not False]
+        if not searchable:
+            return
+        found, columns = _aligned_level_search(table, free, searchable, aggregate, n_active, users, params)
+        lone = [aligned_grid_point(*table[m], free[m], aggregate, n_active, users, params) for m in searchable]
+        assert np.array(found).tobytes() == np.array([pos for pos, _, _ in lone]).tobytes()
+        assert columns.tobytes() == np.stack([column for _, _, column in lone]).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(2, 60), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_rounding_decides_ties_as_in_the_lone_search(self, num_segments, grid_points, n_active, seed):
+        # One user and gains of one amplitude: alignment gives every grid
+        # point the same exact SNR, so only the rounding of each operation
+        # picks the winner, and any change in it shows as another position.
+        rng = np.random.default_rng(seed)
+        params = params_28ghz(min_spacing_m=0.3)
+        users = UserSet(x=[0.0], y=[1.0], power_w=[10.0 ** rng.uniform(-4.0, 0.0)])
+        table = [(np.linspace(m, m + 1.0, grid_points),
+                  1e-4 * np.exp(1j * rng.uniform(0.0, TWO_PI, (1, grid_points)))) for m in range(num_segments)]
+        free = [None if rng.random() < 0.5 else rng.random(grid_points) < 0.7 for _ in table]
+        searchable = [m for m, f in enumerate(free) if f is None or f.any()]
+        if not searchable:
+            return
+        aggregate = 1e-4 * (rng.normal(size=1) + 1j * rng.normal(size=1))
+        found, columns = _aligned_level_search(table, free, searchable, aggregate, n_active, users, params)
+        lone = [aligned_grid_point(*table[m], free[m], aggregate, n_active, users, params) for m in searchable]
+        assert found == [pos for pos, _, _ in lone]
+        assert columns.tobytes() == np.stack([column for _, _, column in lone]).tobytes()
 
 
 def outcome(fn, *args, **kwargs):
