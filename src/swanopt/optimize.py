@@ -12,12 +12,16 @@ for comparison: repeated index-order sweeps re-optimize one antenna position
 at a time over its feasible grid, with an optional phase re-optimization
 after each sweep.
 
-One AO kernel serves both phase-shifter schemes. It runs on a stack of
-phase matrices whose problems leave the stack as they converge, so every
-problem gets the bits it gets alone. The phase-shifter search grid-searches
-all of a level's segments as one stack and then runs AO on all of its
-candidates at once; the baseline runs it on a stack of one, warm-started,
-through `phase_alternating_opt`. Every optimizer reads its grid gains through
+One level search serves both greedy searches: `_level_search` grid-searches
+a stack of segments for each one's best trial position, at zero phase for
+the switch-only search, which passes one segment at a time, or with the
+trial phase aligned to the committed antennas for the phase-shifter search,
+which passes all of a level's segments at once. One AO kernel serves both
+phase-shifter schemes. It runs on a stack of phase matrices whose problems
+leave the stack as they converge, so every problem gets the bits it gets
+alone. The phase-shifter search runs it on all of a level's candidates at
+once; the baseline runs it on a stack of one, warm-started, through
+`phase_alternating_opt`. Every optimizer reads its grid gains through
 `grid_gain_table`: computed once per user set and distinct segment
 interval, height, grid size and params, and kept in the user set's `cache`.
 
@@ -28,8 +32,9 @@ switch-only search prunes: a segment's largest gain amplitude per user over
 its whole grid caps its rate at every feasible grid point (triangle
 inequality), the cap is widened by BOUND_MARGIN for rounding, and segments
 are grid-searched in descending cap order until the next cap's rate is
-below the incumbent's, which returns the exhaustive search's winner. The phase-shifter search grid-searches every
-segment, because every candidate enters its AO stack.
+below the incumbent's, which returns the exhaustive search's winner. The
+phase-shifter search grid-searches every segment, because every candidate
+enters its AO stack.
 
 Determinism: ties between candidate segments resolve to the smallest segment
 index, ties between grid points to the smallest coordinate, and phase updates
@@ -167,46 +172,20 @@ def grid_gain_table(users, layout, params, grid_points) -> list[tuple[np.ndarray
                     lambda: entry(m)) for m in range(layout.num_segments)]
 
 
-def _best_grid_point(grid, block, free, aggregate, n_active, users, params):
-    """Best feasible grid position for a trial antenna at zero phase, committed antennas fixed.
+def _level_search(table, free, searchable, aggregate, n_active, users, params, align):
+    """Lists of the position, gain column (K,) and SNR of each searchable segment's best grid point.
 
-    `grid` and `block` are one segment's entry of the grid-gain table, and
-    `free` is the boolean mask of its grid points clear of the committed
-    antennas, or None when all are. `aggregate` holds the per-user
-    unnormalized channel sums of the committed antennas. Returns (position,
-    sum_rate, gain column at that position).
-    """
-    pts, gains = (grid, block) if free is None else (grid[free], block[:, free])
-    snr = _trial_snr(aggregate[:, None] + gains, n_active, users, params)
-    i = int(np.argmax(snr))
-    return float(pts[i]), float(np.log2(1.0 + snr[i])), gains[:, i]
-
-
-def _trial_snr(h, n_active, users, params):
-    """SNRs of the unnormalized channel sums h of n_active + 1 antennas, users on axis -2; scales h in place."""
-    # NumPy divides by a real-valued complex through its reciprocal, so this
-    # gives the magnitudes that dividing by sqrt(n + 1) gives, bit for bit.
-    h *= 1.0 / np.sqrt(n_active + 1)
-    received = np.abs(h)
-    np.square(received, out=received)
-    received *= users.power_w[:, None]
-    snr = received.sum(axis=-2)
-    snr /= params.noise_power_w
-    return snr
-
-
-def _aligned_level_search(table, free, searchable, aggregate, n_active, users, params):
-    """Positions (S,) and gain columns (S, K) of the searchable segments' best grid points, phases aligned.
-
-    The trial antenna's phase is the single-element optimum against
-    `aggregate` (zero at the first level). The (S, K, Q) stack takes the
-    elementwise operations, in their operand order, that give one segment's
-    free points their bits (`aligned_grid_point` in the tests' oracles);
-    blocked points score -1, below every free point.
+    `free[m]` is segment m's `_free_points` mask, and `aggregate` holds the
+    per-user unnormalized channel sums of the n_active committed antennas.
+    The trial antenna's phase is zero, or with `align` the single-element
+    optimum against `aggregate`. The (S, K, Q) stack takes the elementwise
+    operations, in their operand order, that give one segment's free points
+    their bits (`aligned_grid_point` in the tests' oracles); blocked points
+    score -1, below every free point.
     """
     blocks = [table[m][1] for m in searchable]
-    h = np.stack(blocks)
-    if n_active:
+    h = np.array(blocks)  # np.stack costs more per call, and the switch-only search calls with one block
+    if align and n_active:
         # A complex product's bits depend on its operand order, so no step swaps it.
         np.multiply(users.power_w[:, None], h, out=h)
         h *= np.conj(aggregate)[:, None]
@@ -216,13 +195,20 @@ def _aligned_level_search(table, free, searchable, aggregate, n_active, users, p
         # Restacked rather than kept beside h: one (S, K, Q) array at a time.
         np.multiply(v[:, None, :], np.stack(blocks, out=h), out=h)
     h += aggregate[:, None]
-    snr = _trial_snr(h, n_active, users, params)
+    # NumPy divides by a real-valued complex through its reciprocal, so this
+    # gives the magnitudes that dividing by sqrt(n + 1) gives, bit for bit.
+    h *= 1.0 / np.sqrt(n_active + 1)
+    received = np.abs(h)
+    np.square(received, out=received)
+    received *= users.power_w[:, None]
+    snr = received.sum(axis=1)
+    snr /= params.noise_power_w
     for i, m in enumerate(searchable):
         if free[m] is not None:
             snr[i, ~free[m]] = -1.0
     best = snr.argmax(axis=1).tolist()
     return ([float(table[m][0][j]) for m, j in zip(searchable, best)],
-            np.stack([block[:, j] for block, j in zip(blocks, best)]))
+            [block[:, j] for block, j in zip(blocks, best)], [snr[i, j] for i, j in enumerate(best)])
 
 
 def build_phase_matrix(gains: np.ndarray, power_w: np.ndarray) -> np.ndarray:
@@ -363,7 +349,8 @@ def _switch_only_level(table, free, searchable, peak, aggregate, n_active, users
         if best is not None and cap_rates[i] < best[0]:
             break
         m = searchable[i]
-        pos, rate, column = _best_grid_point(*table[m], free[m], aggregate, n_active, users, params)
+        (pos,), (column,), (snr,) = _level_search(table, free, [m], aggregate, n_active, users, params, align=False)
+        rate = float(np.log2(1.0 + snr))
         searches += 1
         if best is None or rate > best[0] or (rate == best[0] and m < best[1]):
             best = (rate, m, pos, column)
@@ -394,7 +381,8 @@ def _greedy(users, layout, params, grid_points, *, type2: bool, tol: float, max_
             continue
         n_active = placement.num_active
         if type2:
-            positions, columns = _aligned_level_search(table, free, searchable, aggregate, n_active, users, params)
+            positions, columns, _ = _level_search(table, free, searchable, aggregate, n_active, users, params,
+                                                  align=True)
             grid_searches += len(searchable)
             (rate, m, pos, column, phases), iterations = _best_phase_candidate(
                 searchable, positions, columns, gains, users, (n_active + 1) * params.noise_power_w, tol, max_iter)

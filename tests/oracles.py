@@ -43,6 +43,20 @@ def cli_env(**overrides) -> dict:
     return env
 
 
+def bit_contract(reference) -> str:
+    """Failure message of a comparison with recorded bytes: where they were recorded and what runs now.
+
+    NumPy's float64 exp, log2 and arctan2 round differently under its AVX2
+    and AVX-512 kernels, so the references hold only for the build and
+    dispatch level that recorded them.
+    """
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return (f"{reference} differs. The references were recorded under NumPy 2.4.6 with AVX512_SPR dispatch; "
+            f"this run has NumPy {np.__version__} with dispatch targets {enabled}")
+
+
 def fresh(users: UserSet) -> UserSet:
     """The same users with an empty cache, so that a call on them computes everything anew."""
     return UserSet(users.x, users.y, users.power_w)
@@ -127,17 +141,17 @@ def element_update(a: np.ndarray, v: np.ndarray, m: int):
     return np.exp(-1j * np.angle(s))
 
 
-def aligned_grid_point(grid, block, free, aggregate, n_active, users, params):
-    """(position, sum_rate, gain column) of one segment's best grid point, its phase aligned with the others.
+def aligned_grid_point(grid, block, free, aggregate, n_active, users, params, align):
+    """(position, sum_rate, gain column) of one segment's best grid point, its phase zero or aligned with the others.
 
-    The phase-shifter search's per-segment form: the trial antenna's phase
-    shifter takes the single-element optimum against `aggregate`, the
+    The greedy searches' per-segment form: the trial antenna's phase is zero,
+    or with `align` the single-element optimum against `aggregate`, the
     committed antennas' unnormalized channel sums (zero phase at the first
     level), and `free` is the mask of usable grid points, or None for all.
-    The optimizer searches a level's segments as one stack, with these bits.
+    The optimizer searches a stack of segments, with these bits.
     """
     pts, gains = (grid, block) if free is None else (grid[free], block[:, free])
-    if n_active:
+    if align and n_active:
         s = np.sum(users.power_w[:, None] * gains * np.conj(aggregate)[:, None], axis=0)
         v = np.where(s == 0, 1.0 + 0.0j, np.exp(-1j * np.angle(s)))
         h = aggregate[:, None] + v * gains

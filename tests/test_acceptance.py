@@ -15,16 +15,21 @@ markers with the measured evidence in the reason string:
     beats the switch-only greedy's frozen placements by 0.01-0.03 bits/s/Hz
     on average for every M <= 36 at this desk scale; level selection only
     pays off past the full-activation optimum (M >= ~44).
+
+The C1, C7 and C8 sweeps' CSVs are also pinned byte for byte to the files
+recorded in tests/data.
 """
 
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import (
+    bit_contract,
     cli_env,
     element_update,
     empty_placement,
@@ -47,6 +52,13 @@ from swanopt.optimize import (
 
 PARAMS = SystemParams(carrier_freq_hz=28e9, n_eff=1.4, noise_power_w=1e-12)
 OPTIMIZER_SCHEMES = ("hssa-1", "hssa-2", "full-sa-1", "full-sa-2")
+DATA = Path(__file__).parent / "data"
+
+
+def assert_recorded_csv(result, name):
+    """The sweep's CSV text is, byte for byte, the one recorded as tests/data/<name>.csv."""
+    reference = DATA / f"{name}.csv"
+    assert sweep_csv_text(result) == reference.read_bytes().decode("utf-8"), bit_contract(reference)
 
 
 # --------------------------------------------------------------------------
@@ -99,6 +111,12 @@ def test_c01_runtime_under_ten_seconds(bound_sweep):
     _, elapsed = bound_sweep
     print(f"[C1] PASS: 120-point bound sweep, 50 realizations, in {elapsed:.2f} s (< 10 s)")
     assert elapsed < 10.0
+
+
+def test_c01_csv_matches_the_recorded_bytes(bound_sweep):
+    result, _ = bound_sweep
+    assert_recorded_csv(result, "c01_bound_sweep")
+    print("[C1] PASS: 240-row bound sweep CSV equals tests/data/c01_bound_sweep.csv")
 
 
 # --------------------------------------------------------------------------
@@ -331,6 +349,12 @@ def test_c07_runtime_under_five_minutes(segment_sweep_desk):
     assert elapsed < 300.0
 
 
+def test_c07_csv_matches_the_recorded_bytes(segment_sweep_desk):
+    result, _ = segment_sweep_desk
+    assert_recorded_csv(result, "c07_segment_sweep")
+    print("[C7] PASS: 40-row segment sweep CSV equals tests/data/c07_segment_sweep.csv")
+
+
 # --------------------------------------------------------------------------
 # Criterion 8: user sweep at 20 segments.
 # --------------------------------------------------------------------------
@@ -361,6 +385,11 @@ def test_c08_phase_shifters_dominate_within_each_family(user_sweep_desk):
     assert np.all(g >= 0) and np.all(b >= 0)
     print(f"[C8] PASS: phase shifters never hurt: greedy margins {g.min():+.4f}..{g.max():+.4f}, "
           f"baseline margins {b.min():+.4f}..{b.max():+.4f} bits/s/Hz")
+
+
+def test_c08_csv_matches_the_recorded_bytes(user_sweep_desk):
+    assert_recorded_csv(user_sweep_desk, "c08_user_sweep")
+    print("[C8] PASS: 24-row user sweep CSV equals tests/data/c08_user_sweep.csv")
 
 
 # --------------------------------------------------------------------------

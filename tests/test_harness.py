@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import PerDrawStream, cli_env, row, rows
+from oracles import PerDrawStream, bit_contract, cli_env, row, rows
 
 import swanopt.cli
 import swanopt.harness as harness
@@ -587,7 +587,8 @@ class TestBenchmarkReferences:
         out = tmp_path / f"{workload}.csv"
         config = self.BENCH / "configs" / f"{workload}.cfg"
         assert cli_main([self.COMMANDS[workload], "--config", str(config), "--output", str(out), "--quiet"]) == 0
-        assert out.read_bytes() == (self.BENCH / "reference" / f"{workload}.csv").read_bytes()
+        reference = self.BENCH / "reference" / f"{workload}.csv"
+        assert out.read_bytes() == reference.read_bytes(), bit_contract(reference)
         meta = json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))
         assert meta["resample_counts"] == json.loads(self.RESAMPLE_COUNTS.read_text(encoding="utf-8"))[workload]
         searches = {scheme: sum(t.grid_searches for t in runs) for scheme, runs in traces.items() if runs}
@@ -614,7 +615,8 @@ class TestNonNestingReferences:
         out = tmp_path / f"{name}.csv"
         assert cli_main([command, "--config", str(self.DATA / f"{name}.cfg"), "--output", str(out), "--quiet"]) == 0
         for suffix in ("", ".meta.json"):
-            assert Path(f"{out}{suffix}").read_bytes() == (self.DATA / f"{name}.csv{suffix}").read_bytes()
+            reference = self.DATA / f"{name}.csv{suffix}"
+            assert Path(f"{out}{suffix}").read_bytes() == reference.read_bytes(), bit_contract(reference)
 
     def test_config_hash_leaves_out_the_output_path(self, tmp_path):
         config = str(self.DATA / "degenerate_single_run.cfg")

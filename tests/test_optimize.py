@@ -24,10 +24,9 @@ from swanopt.channel import cascaded_gain_matrix, placement_sum_rate, segment_ga
 from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, build_centered_layout, sample_users
 from swanopt.optimize import (
     GreedyTrace,
-    _aligned_level_search,
-    _best_grid_point,
     _free_points,
     _infeasible_mask,
+    _level_search,
     _stacked_ao,
     build_phase_matrix,
     candidate_grid,
@@ -58,13 +57,13 @@ def place(segment, current, users, layout, params, grid_points, align=False):
 
 
 def grid_search(grid, block, occupied, aggregate, n_active, users, params, align):
-    """`_best_grid_point`, or the aligned oracle with `align`, with the spacing mask built from the occupied
-    positions; None when it blocks every point."""
+    """The per-segment search oracle, with the spacing mask built from the occupied positions; None when it
+    blocks every point."""
     blocked = _infeasible_mask(grid, occupied, params.min_spacing_m)
     if blocked.all():
         return None
     free = ~blocked if blocked.any() else None
-    return (aligned_grid_point if align else _best_grid_point)(grid, block, free, aggregate, n_active, users, params)
+    return aligned_grid_point(grid, block, free, aggregate, n_active, users, params, align)
 
 
 class TestCandidateGrid:
@@ -685,9 +684,10 @@ class TestAoCounters:
 
 
 class TestAlignedLevelSearch:
+    @pytest.mark.parametrize("align", [False, True])
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(greedy_scenarios(max_grid=60), st.integers(0, 3), st.integers(0, 2**32 - 1))
-    def test_equals_the_lone_search_of_every_segment_bit_for_bit(self, scenario, n_active, seed):
+    def test_equals_the_lone_search_of_every_segment_bit_for_bit(self, align, scenario, n_active, seed):
         users, layout, params, grid_points = scenario
         n_active = min(n_active, layout.num_segments - 1)
         table = grid_gain_table(users, layout, params, grid_points)
@@ -704,10 +704,12 @@ class TestAlignedLevelSearch:
         searchable = [m for m, f in enumerate(free) if f is not False]
         if not searchable:
             return
-        found, columns = _aligned_level_search(table, free, searchable, aggregate, n_active, users, params)
-        lone = [aligned_grid_point(*table[m], free[m], aggregate, n_active, users, params) for m in searchable]
+        found, columns, snrs = _level_search(table, free, searchable, aggregate, n_active, users, params, align)
+        lone = [aligned_grid_point(*table[m], free[m], aggregate, n_active, users, params, align)
+                for m in searchable]
         assert np.array(found).tobytes() == np.array([pos for pos, _, _ in lone]).tobytes()
-        assert columns.tobytes() == np.stack([column for _, _, column in lone]).tobytes()
+        assert np.stack(columns).tobytes() == np.stack([column for _, _, column in lone]).tobytes()
+        assert [float(np.log2(1.0 + snr)) for snr in snrs] == [rate for _, rate, _ in lone]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(2, 60), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -725,10 +727,10 @@ class TestAlignedLevelSearch:
         if not searchable:
             return
         aggregate = 1e-4 * (rng.normal(size=1) + 1j * rng.normal(size=1))
-        found, columns = _aligned_level_search(table, free, searchable, aggregate, n_active, users, params)
-        lone = [aligned_grid_point(*table[m], free[m], aggregate, n_active, users, params) for m in searchable]
+        found, columns, _ = _level_search(table, free, searchable, aggregate, n_active, users, params, True)
+        lone = [aligned_grid_point(*table[m], free[m], aggregate, n_active, users, params, True) for m in searchable]
         assert found == [pos for pos, _, _ in lone]
-        assert columns.tobytes() == np.stack([column for _, _, column in lone]).tobytes()
+        assert np.stack(columns).tobytes() == np.stack([column for _, _, column in lone]).tobytes()
 
 
 def outcome(fn, *args, **kwargs):

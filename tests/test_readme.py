@@ -1,9 +1,14 @@
-"""The README's library quick start runs as written, and its config key table names every config field."""
+"""The README's library quick start runs as written, its config key table names every config field, and the
+private names it cites exist."""
 
+import functools
+import importlib
+import pkgutil
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import swanopt
 from swanopt.harness import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,3 +27,21 @@ def test_key_table_names_every_config_field_once():
     table = README.read_text(encoding="utf-8").split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
     keys = [key for row in table.splitlines()[1:] for key in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def test_cited_private_names_exist():
+    # A private name in backticks, bare or dotted: `_free_points`, `optimize._stacked_ao`, `_UserStream.close`.
+    names = set(re.findall(r"`((?:\w+\.)*_\w+(?:\.\w+)*)`", README.read_text(encoding="utf-8")))
+    modules = [importlib.import_module(f"swanopt.{info.name}") for info in pkgutil.iter_modules(swanopt.__path__)]
+
+    def resolves(name):
+        for root in (swanopt, *modules):
+            try:
+                functools.reduce(getattr, name.split("."), root)
+                return True
+            except AttributeError:
+                pass
+        return False
+
+    assert names
+    assert sorted(name for name in names if not resolves(name)) == []
