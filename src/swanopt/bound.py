@@ -104,11 +104,11 @@ def f_integral(delta: float, n: int, length: float, d_sq: float) -> float:
 def _check_f_args(delta, n, length, d_sq):
     if n < 0:
         raise ValueError("segment count must be nonnegative")
-    if delta < 0:
+    if not delta >= 0:  # comparisons that NaN fails
         raise ValueError("edge distance must be nonnegative")
-    if length <= 0:
+    if not length > 0:
         raise ValueError("segment length must be positive")
-    if d_sq <= 0:
+    if not d_sq > 0:
         raise ValueError("squared axis distance must be positive")
 
 

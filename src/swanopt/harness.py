@@ -407,7 +407,7 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     if needs_bound_users and narrow:
         warnings.warn(f"waveguide coverage is narrower than the {config.region_x_m:.6g} m user region at "
                       f"{sweep_var} = {', '.join(map(str, dict.fromkeys(narrow)))}; bound schemes resample "
-                      "out-of-extent realizations", RuntimeWarning, stacklevel=3)
+                      "out-of-extent realizations", RuntimeWarning, stacklevel=4)  # the public runner's caller
     rates = np.empty((len(points), len(config.schemes), config.realizations))
     redraws = np.zeros((len(points), config.realizations), dtype=int)
     for r in range(config.realizations):
@@ -428,21 +428,24 @@ def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
     return SweepResult(config, sweep_var, values, rates, redraws)
 
 
-def run_bound_sweep(config: ExperimentConfig) -> SweepResult:
-    """Evaluate the analytical bounds (plus any other requested schemes) over a segment sweep."""
-    if not any(s.startswith("bound-") for s in config.schemes):
-        raise ValueError("bound sweep needs bound-exact and/or bound-integral in schemes")
-    return run_segment_sweep(config)
-
-
-def run_segment_sweep(config: ExperimentConfig) -> SweepResult:
-    """Evaluate every requested scheme at each segment count of the sweep."""
+def _segment_points(config: ExperimentConfig) -> list:
     if not config.segment_sweep:
         raise ValueError("segment_sweep must be set")
     if config.num_users is None:
         raise ValueError("num_users must be set for a segment sweep")
-    points = [(m, m, config.num_users) for m in config.segment_sweep]
-    return _run_sweep(config, "M", points)
+    return [(m, m, config.num_users) for m in config.segment_sweep]
+
+
+def run_bound_sweep(config: ExperimentConfig) -> SweepResult:
+    """Evaluate the analytical bounds (plus any other requested schemes) over a segment sweep."""
+    if not any(s.startswith("bound-") for s in config.schemes):
+        raise ValueError("bound sweep needs bound-exact and/or bound-integral in schemes")
+    return _run_sweep(config, "M", _segment_points(config))
+
+
+def run_segment_sweep(config: ExperimentConfig) -> SweepResult:
+    """Evaluate every requested scheme at each segment count of the sweep."""
+    return _run_sweep(config, "M", _segment_points(config))
 
 
 def run_user_sweep(config: ExperimentConfig) -> SweepResult:

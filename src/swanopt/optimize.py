@@ -1,11 +1,14 @@
 """Greedy joint segment activation / antenna placement and phase optimization.
 
-Two greedy searches are provided. The switch-only variant scores candidate
-segments with all phases at zero; the phase-shifter variant re-optimizes the
-full phase vector for every candidate through element-wise alternating
-optimization and commits the converged phases of the winner. Both run all M
-activation levels and keep every level in the trace; the caller reads off the
-best stored level, so full activation can never win by omission.
+One greedy loop (`_greedy`) serves both architectures. It runs all M
+activation levels, commits each level's winning antenna and keeps every
+level in the trace; the caller reads off the best stored level, so full
+activation can never win by omission. The architecture enters only as the
+level function that picks the winner: `_switch_only_level` scores candidate
+segments with all phases at zero, and `_phase_shifter_level` re-optimizes
+the full phase vector for every candidate through element-wise alternating
+optimization and returns the converged phases of the winner. Each also
+returns the `GreedyTrace` counts of its work, which the loop sums.
 
 A coordinate-descent baseline over the fully activated layout is included
 for comparison: repeated index-order sweeps re-optimize one antenna position
@@ -42,6 +45,7 @@ run in ascending index order. Identical inputs give bit-identical traces.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -242,7 +246,7 @@ def phase_alternating_opt(a: np.ndarray, init=None, tol: float = 1e-8, max_iter:
         init = np.asarray(init, dtype=complex)
         if init.shape != (s,):
             raise ValueError("init length must match the matrix size")
-        if np.any(np.abs(np.abs(init) - 1.0) > 1e-9):
+        if not np.all(np.abs(np.abs(init) - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError("init entries must be unit-modulus")
         init = init[None]
     phases, objectives, iterations = _stacked_ao(a[None], tol, max_iter, init)
@@ -312,35 +316,15 @@ def _stacked_ao(a: np.ndarray, tol: float, max_iter: int, init=None):
     return _wrap_phases(v), obj, iterations
 
 
-def _best_phase_candidate(segments, positions, columns, gains, users, noise_scale, tol, max_iter):
-    """Winner after phase AO among the candidates: `segments[i]` at `positions[i]`, with gain column `columns[i]`.
-
-    AO runs on every candidate's trial matrix at once. The winner has the
-    highest rate, ties going to the smallest segment; comparing rates rather
-    than objectives matters at low SNR, where close objectives round to the
-    same rate. Returns (rate, segment, position, column, phases) and the
-    candidates' AO iteration counts.
-    """
-    k, n = gains.shape
-    trials = np.empty((len(segments), k, n + 1), dtype=complex)
-    trials[:, :, :n] = gains
-    trials[:, :, n] = columns
-    phases, objectives, iterations = _stacked_ao(build_phase_matrix(trials, users.power_w), tol, max_iter)
-    best = None
-    for i, (m, pos) in enumerate(zip(segments, positions)):
-        rate = float(np.log2(1.0 + float(objectives[i]) / noise_scale))
-        if best is None or rate > best[0]:
-            best = (rate, m, pos, columns[i], phases[i])
-    return best, iterations
-
-
-def _switch_only_level(table, free, searchable, peak, aggregate, n_active, users, params):
-    """Best (rate, segment, position, column) of one switch-only level, and the grid searches it ran.
+def _switch_only_level(table, free, searchable, aggregate, gains, users, params, *, peak):
+    """Best (rate, segment, position, column, phases) of one switch-only level, and its `GreedyTrace` counts.
 
     Segments go in descending order of their cap sum_k P_k (|a_k| + peak[m, k])^2
     (see the module docstring) until a cap rate is below the incumbent's rate;
-    ties go to the smallest segment, as in a search of every segment.
+    ties go to the smallest segment, as in a search of every segment. Every
+    phase stays zero.
     """
+    n_active = gains.shape[1]
     caps = np.square(np.abs(aggregate) + peak[searchable]) @ users.power_w
     cap_rates = np.log2(1.0 + caps * (1.0 + BOUND_MARGIN) / ((n_active + 1) * params.noise_power_w))
     best = None
@@ -354,57 +338,59 @@ def _switch_only_level(table, free, searchable, peak, aggregate, n_active, users
         searches += 1
         if best is None or rate > best[0] or (rate == best[0] and m < best[1]):
             best = (rate, m, pos, column)
-    return best, searches
+    return (*best, np.zeros(n_active + 1)), (0, 0, 0, searches)
 
 
-def _greedy(users, layout, params, grid_points, *, type2: bool, tol: float, max_iter: int) -> GreedyTrace:
+def _phase_shifter_level(table, free, searchable, aggregate, gains, users, params, *, tol, max_iter):
+    """Best (rate, segment, position, column, phases) of one phase-shifter level, and its `GreedyTrace` counts.
+
+    Every searchable segment's aligned best grid point is a candidate, and
+    AO runs on every candidate's trial matrix at once. The winner has the
+    highest rate, ties going to the smallest segment; comparing rates rather
+    than objectives matters at low SNR, where close objectives round to the
+    same rate.
+    """
+    k, n = gains.shape
+    positions, columns, _ = _level_search(table, free, searchable, aggregate, n, users, params, align=True)
+    trials = np.empty((len(searchable), k, n + 1), dtype=complex)
+    trials[:, :, :n], trials[:, :, n] = gains, columns  # the committed columns, then the candidate's
+    phases, objectives, iterations = _stacked_ao(build_phase_matrix(trials, users.power_w), tol, max_iter)
+    rates = np.log2(1.0 + objectives / ((n + 1) * params.noise_power_w))
+    i = int(rates.argmax())  # the first of equal rates, so the smallest segment
+    cap_hits = int(np.count_nonzero(iterations >= max_iter)) if n else 0  # problems of one element take no sweeps
+    counts = (iterations.size, int(iterations.sum()), cap_hits, len(searchable))
+    return (float(rates[i]), searchable[i], positions[i], columns[i], phases[i]), counts
+
+
+def _greedy(users, layout, params, table, level) -> GreedyTrace:
+    """Every activation level, each committing the winner that the architecture's `level` function picks."""
     # Committed state: the placement, in activation order, and the (K, S)
     # gain matrix whose columns are reused by every later level.
-    table = grid_gain_table(users, layout, params, grid_points)
-    spacing = params.min_spacing_m
     placement = Placement((), (), ())
     gains = np.zeros((users.num_users, 0), dtype=complex)
     aggregate = np.zeros(users.num_users, dtype=complex)
     levels: list[TraceLevel] = []
-    ao_runs = ao_sweeps = ao_cap_hits = grid_searches = 0
+    work = []  # each level's GreedyTrace counts: ao_runs, ao_sweeps, ao_cap_hits and grid_searches
     # Per segment, its `_free_points` mask of the committed antennas; False
     # also once committed (a segment takes no second antenna).
     free: list = [None] * len(table)
     grid_ends = np.array([layout.feed_x, layout.segment_ends])
-    if not type2:
-        # Largest gain amplitude of each (segment, user) over the whole grid.
-        peak = np.stack([np.abs(block).max(axis=1) for _, block in table])
     for _ in range(layout.num_segments):
         searchable = [m for m, f in enumerate(free) if f is not False]
         if not searchable:
             levels.append(TraceLevel(levels[-1].placement, levels[-1].rate, degenerate=True))
             continue
-        n_active = placement.num_active
-        if type2:
-            positions, columns, _ = _level_search(table, free, searchable, aggregate, n_active, users, params,
-                                                  align=True)
-            grid_searches += len(searchable)
-            (rate, m, pos, column, phases), iterations = _best_phase_candidate(
-                searchable, positions, columns, gains, users, (n_active + 1) * params.noise_power_w, tol, max_iter)
-            ao_runs += iterations.size
-            ao_sweeps += int(iterations.sum())
-            if n_active:  # problems of one element take no sweeps
-                ao_cap_hits += int(np.count_nonzero(iterations >= max_iter))
-        else:
-            (rate, m, pos, column), searches = _switch_only_level(
-                table, free, searchable, peak, aggregate, n_active, users, params)
-            grid_searches += searches
-            phases = np.zeros(n_active + 1)
+        (rate, m, pos, column, phases), counts = level(table, free, searchable, aggregate, gains, users, params)
+        work.append(counts)
         placement = Placement(placement.active + (m,), placement.positions + (pos,), phases)
         free[m] = False
-        for j in _segments_near(grid_ends, (pos,), spacing):
+        for j in _segments_near(grid_ends, (pos,), params.min_spacing_m):
             if free[j] is not False:  # antennas only come, so a blocked segment stays blocked
-                free[j] = _free_points(table[j][0], np.array(placement.positions), spacing)
+                free[j] = _free_points(table[j][0], np.array(placement.positions), params.min_spacing_m)
         gains = np.concatenate([gains, column[:, None]], axis=1)
         aggregate = gains @ np.exp(1j * phases)
         levels.append(TraceLevel(placement, rate))
-    return GreedyTrace(levels=tuple(levels), ao_runs=ao_runs, ao_sweeps=ao_sweeps, ao_cap_hits=ao_cap_hits,
-                       grid_searches=grid_searches)
+    return GreedyTrace(tuple(levels), *map(sum, zip(*work)))
 
 
 def greedy_hssa_type1(users, layout, params, grid_points) -> GreedyTrace:
@@ -416,7 +402,10 @@ def greedy_hssa_type1(users, layout, params, grid_points) -> GreedyTrace:
     level dominates full activation by construction. The grid gains come
     from `grid_gain_table(users, layout, params, grid_points)`.
     """
-    return _greedy(users, layout, params, grid_points, type2=False, tol=0.0, max_iter=0)
+    table = grid_gain_table(users, layout, params, grid_points)
+    # Largest gain amplitude of each (segment, user) over the whole grid.
+    peak = np.stack([np.abs(block).max(axis=1) for _, block in table])
+    return _greedy(users, layout, params, table, partial(_switch_only_level, peak=peak))
 
 
 def greedy_hssa_type2(users, layout, params, grid_points, tol: float = 1e-8, max_iter: int = 100) -> GreedyTrace:
@@ -427,7 +416,8 @@ def greedy_hssa_type2(users, layout, params, grid_points, tol: float = 1e-8, max
     phase alternating optimization (all-zero initialization). The committed
     snapshot carries the converged phases.
     """
-    return _greedy(users, layout, params, grid_points, type2=True, tol=tol, max_iter=max_iter)
+    table = grid_gain_table(users, layout, params, grid_points)
+    return _greedy(users, layout, params, table, partial(_phase_shifter_level, tol=tol, max_iter=max_iter))
 
 
 def _leftmost_start(table, min_spacing_m):

@@ -1,6 +1,7 @@
 """Reference forms that only the tests use."""
 
 import itertools
+import json
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -8,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 import swanopt
+import swanopt.harness as harness
 from swanopt.bound import split_for_user, user_gain_bound
 from swanopt.channel import segment_gains
 from swanopt.geometry import Placement, SystemParams, UserSet, WaveguideLayout, sample_users
@@ -43,6 +45,20 @@ def cli_env(**overrides) -> dict:
     return env
 
 
+def dispatch_targets() -> list:
+    """NumPy's dispatch targets that this process runs with; empty at its baseline (NPY_DISABLE_CPU_FEATURES)."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+
+
+def sweep_report(runs) -> str:
+    """JSON of `dispatch_targets()` and the CSV text of each (name, harness runner name, config path) sweep."""
+    csv = {name: sweep_csv_text(getattr(harness, run)(harness.ExperimentConfig.from_file(path)))
+           for name, run, path in runs}
+    return json.dumps({"targets": dispatch_targets(), "csv": csv})
+
+
 def bit_contract(reference) -> str:
     """Failure message of a comparison with recorded bytes: where they were recorded and what runs now.
 
@@ -50,11 +66,8 @@ def bit_contract(reference) -> str:
     and AVX-512 kernels, so the references hold only for the build and
     dispatch level that recorded them.
     """
-    from numpy._core import _multiarray_umath as umath
-
-    enabled = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
     return (f"{reference} differs. The references were recorded under NumPy 2.4.6 with AVX512_SPR dispatch; "
-            f"this run has NumPy {np.__version__} with dispatch targets {enabled}")
+            f"this run has NumPy {np.__version__} with dispatch targets {dispatch_targets()}")
 
 
 def fresh(users: UserSet) -> UserSet:

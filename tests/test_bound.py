@@ -171,11 +171,15 @@ class TestPartialSums:
             f_exact(0.5, -1, 1.0, 9.0)
         with pytest.raises(ValueError):
             f_integral(0.5, -1, 1.0, 9.0)
-        for length, d_sq, message in ((0.0, 9.0, "segment length"), (-1.0, 9.0, "segment length"),
-                                      (1.0, 0.0, "squared axis distance"), (1.0, -9.0, "squared axis distance")):
+        for delta, length, d_sq, message in ((0.5, 0.0, 9.0, "segment length"), (0.5, -1.0, 9.0, "segment length"),
+                                             (0.5, 1.0, 0.0, "squared axis distance"),
+                                             (0.5, 1.0, -9.0, "squared axis distance"),
+                                             (math.nan, 1.0, 9.0, "edge distance"),
+                                             (0.5, math.nan, 9.0, "segment length"),
+                                             (0.5, 1.0, math.nan, "squared axis distance")):
             for f in (f_exact, f_integral):
                 with pytest.raises(ValueError, match=message):
-                    f(0.5, 2, length, d_sq)
+                    f(delta, 2, length, d_sq)
 
     def test_closed_form_single_segment(self):
         assert f_integral(0.5, 1, 1.0, 9.0) == pytest.approx(0.32745015023725843, rel=1e-14)

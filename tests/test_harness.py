@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import PerDrawStream, bit_contract, cli_env, row, rows
+from oracles import PerDrawStream, bit_contract, cli_env, row, rows, sweep_report
 
 import swanopt.cli
 import swanopt.harness as harness
@@ -372,6 +373,16 @@ class TestSweepEngine:
             run_segment_sweep(self.make_config(schemes=("bound-integral",), segment_sweep=(2, 30, 3, 2)))
         assert len(record) == 1 and "at M = 2, 3;" in str(record[0].message)
 
+    @pytest.mark.parametrize("run, changes", [
+        (run_segment_sweep, dict(segment_sweep=(2,))),
+        (run_bound_sweep, dict(segment_sweep=(2,))),
+        (run_user_sweep, dict(segment_sweep=None, num_segments=2, num_users=None, user_sweep=(1,))),
+    ], ids=["segment", "bound", "user"])
+    def test_coverage_warning_names_the_line_that_called_the_runner(self, run, changes):
+        with pytest.warns(RuntimeWarning, match="narrower") as record:
+            run(self.make_config(schemes=("bound-integral",), realizations=1, **changes))
+        assert (record[0].filename, record[0].lineno) == (__file__, sys._getframe().f_lineno - 1)
+
     def test_no_warning_for_optimizers_on_a_narrow_waveguide(self):
         # Only the bound schemes resample, so an optimizer-only sweep has nothing to warn about.
         import warnings as _warnings
@@ -570,11 +581,14 @@ class TestBenchmarkReferences:
     COMMANDS = {"desk-sweep": "segment-sweep", "switch-only": "segment-sweep", "bound-sweep": "bound-sweep"}
     RESAMPLE_COUNTS = Path(__file__).parent / "data" / "reference_resample_counts.json"
 
-    # Grid searches over each sweep. hssa-2 searches every inactive segment
-    # at every level, M(M+1)/2 per run here (no segment is ever fully
-    # blocked). An unpruned hssa-1 would run as many, 2132 on desk-sweep and
-    # 4264 on switch-only; its bound pruning leaves 561 and 763.
-    GRID_SEARCHES = {"desk-sweep": {"hssa-1": 561, "hssa-2": 2132}, "switch-only": {"hssa-1": 763}, "bound-sweep": {}}
+    # Each greedy scheme's GreedyTrace counts summed over a sweep: (ao_runs,
+    # ao_sweeps, ao_cap_hits, grid_searches). hssa-2 searches every inactive
+    # segment at every level, M(M+1)/2 per run here (no segment is ever fully
+    # blocked), and solves one AO problem per search. An unpruned hssa-1
+    # would run as many searches, 2132 on desk-sweep and 4264 on
+    # switch-only; its bound pruning leaves 561 and 763, and it runs no AO.
+    COUNTS = {"desk-sweep": {"hssa-1": (0, 0, 0, 561), "hssa-2": (2132, 10964, 0, 2132)},
+              "switch-only": {"hssa-1": (0, 0, 0, 763)}, "bound-sweep": {}}
 
     @pytest.mark.parametrize("workload", ["desk-sweep", "switch-only", "bound-sweep"])
     def test_cli_reproduces_reference_bytes(self, tmp_path, monkeypatch, workload):
@@ -591,10 +605,53 @@ class TestBenchmarkReferences:
         assert out.read_bytes() == reference.read_bytes(), bit_contract(reference)
         meta = json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))
         assert meta["resample_counts"] == json.loads(self.RESAMPLE_COUNTS.read_text(encoding="utf-8"))[workload]
-        searches = {scheme: sum(t.grid_searches for t in runs) for scheme, runs in traces.items() if runs}
-        assert searches == self.GRID_SEARCHES[workload]
+        counts = {scheme: tuple(sum(getattr(t, name) for t in runs)
+                                for name in ("ao_runs", "ao_sweeps", "ao_cap_hits", "grid_searches"))
+                  for scheme, runs in traces.items() if runs}
+        assert counts == self.COUNTS[workload]
         for trace in traces["hssa-2"]:
             assert trace.grid_searches == len(trace.levels) * (len(trace.levels) + 1) // 2
+
+
+class TestDispatchLevels:
+    # The byte references hold at one NumPy dispatch level only (see
+    # `bit_contract`). Across levels the contract is numeric: each perfbench
+    # config's CSV keeps every other cell, every mean within 4 ulps and
+    # every std_rate within 1e-12 relative of the default dispatch's. Each
+    # setting runs in its own child interpreter: AVX-512 off (AVX2
+    # kernels), then also X86_V3 off (the SSE baseline). On a CPU without
+    # those features a setting changes nothing, so the messages name the
+    # targets that each run actually had.
+    SETTINGS = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3")
+    RUNS = {"desk-sweep": "run_segment_sweep", "switch-only": "run_segment_sweep", "bound-sweep": "run_bound_sweep"}
+
+    def test_every_dispatch_level_keeps_the_rates_within_the_contract(self):
+        runs = [(name, run, str(TestBenchmarkReferences.BENCH / "configs" / f"{name}.cfg"))
+                for name, run in self.RUNS.items()]
+        # The children import the tests' oracles as well as the tests' swanopt.
+        path = os.pathsep.join(filter(None, (str(Path(__file__).parent), os.environ.get("PYTHONPATH"))))
+        script = "import json, sys, oracles; print(oracles.sweep_report(json.loads(sys.argv[1])))"
+        children = [subprocess.Popen([sys.executable, "-c", script, json.dumps(runs)], text=True,
+                                     env=cli_env(PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=setting),
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE) for setting in self.SETTINGS]
+        default = json.loads(sweep_report(runs))
+        covered = [f"default: {default['targets']}"]
+        for setting, child in zip(self.SETTINGS, children):
+            out, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
+            report = json.loads(out)
+            covered.append(f"NPY_DISABLE_CPU_FEATURES={setting!r}: {report['targets'] or 'the baseline'}")
+            for name, text in default["csv"].items():
+                where = f"{name} differs beyond the contract; dispatch targets covered: {'; '.join(covered)}"
+                got, want = report["csv"][name].splitlines(), text.splitlines()
+                assert got[0] == want[0] and len(got) == len(want), where
+                for line, ref in zip(got[1:], want[1:]):
+                    cells, ref_cells = line.split(","), ref.split(",")
+                    assert cells[:3] + cells[5:] == ref_cells[:3] + ref_cells[5:], where
+                    mean, std, ref_mean, ref_std = map(float, cells[3:5] + ref_cells[3:5])
+                    assert abs(mean - ref_mean) <= 4 * np.spacing(abs(ref_mean)), where
+                    assert std == pytest.approx(ref_std, rel=1e-12, abs=0), where
+        print("dispatch targets covered: " + "; ".join(covered))
 
 
 class TestNonNestingReferences:

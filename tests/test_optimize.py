@@ -436,8 +436,9 @@ class TestPhaseAlternatingOpt:
 
     def test_rejects_non_unit_init(self):
         pm = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError):
-            phase_alternating_opt(pm, init=np.array([1.0, 0.5]))
+        for init in ([1.0, 0.5], [np.nan, 1.0], [1.0, complex(np.nan, 0.0)], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="init entries must be unit-modulus"):
+                phase_alternating_opt(pm, init=np.array(init))
         for init in (np.ones(1), np.ones(3), np.ones((2, 1))):
             with pytest.raises(ValueError, match="init length"):
                 phase_alternating_opt(pm, init=init)
@@ -656,6 +657,24 @@ class TestBoundPruning:
         table = [(candidate_grid(m, layout, 2), block.astype(complex)) for m, block in enumerate(blocks)]
         monkeypatch.setattr(optimize, "grid_gain_table", lambda *args: table)
         trace = greedy_hssa_type1(users, layout, params, 2)
+        assert [lvl.placement.active[-1] for lvl in trace.levels[:len(committed)]] == committed
+        tied = trace.levels[len(committed)]
+        assert tied.placement.active[-1] == 0 and tied.placement.positions[-1] == table[0][0][0]
+
+    @pytest.mark.parametrize("committed, a", [([], None), ([2], [13.130272488412855, 9.83854782023462])])
+    def test_phase_shifter_tie_goes_to_the_smaller_segment(self, monkeypatch, committed, a):
+        # Segments 0 and 1 have the same block, so their candidates have the
+        # same trial matrix and tie on rate exactly, at level 1 or after
+        # segment 2's far stronger antenna; segment 0 must be committed.
+        params = params_28ghz(noise_power_w=1.0)
+        layout = build_centered_layout(3, 1.0, 3.0)
+        users = UserSet(x=[0.0, 0.0], y=[0.0, 0.0], power_w=[1.0, 1.0])
+        c = np.array([1.817288772715028, 1.5026990031763663 + 0.5j])
+        far = np.zeros(2) if a is None else np.array(a)
+        blocks = [np.stack([c, c], axis=1), np.stack([c, c], axis=1), np.stack([far, far], axis=1)]
+        table = [(candidate_grid(m, layout, 2), block.astype(complex)) for m, block in enumerate(blocks)]
+        monkeypatch.setattr(optimize, "grid_gain_table", lambda *args: table)
+        trace = greedy_hssa_type2(users, layout, params, 2)
         assert [lvl.placement.active[-1] for lvl in trace.levels[:len(committed)]] == committed
         tied = trace.levels[len(committed)]
         assert tied.placement.active[-1] == 0 and tied.placement.positions[-1] == table[0][0][0]
