@@ -23,6 +23,9 @@ import numpy as np
 from .geometry import SystemParams, UserSet, WaveguideLayout
 
 
+_INTEGERS = (int, np.integer)  # the segment count types of the partial sums
+
+
 class ProjectionOutOfRangeError(ValueError):
     """A user's projection falls outside the waveguide extent."""
 
@@ -102,8 +105,8 @@ def f_integral(delta: float, n: int, length: float, d_sq: float) -> float:
 
 
 def _check_f_args(delta, n, length, d_sq):
-    if n < 0:
-        raise ValueError("segment count must be nonnegative")
+    if not (isinstance(n, _INTEGERS) and n >= 0):  # a float count would slice or integrate fractionally
+        raise ValueError(f"segment count must be a nonnegative integer, got {n!r}")
     if not delta >= 0:  # comparisons that NaN fails
         raise ValueError("edge distance must be nonnegative")
     if not length > 0:

@@ -9,22 +9,22 @@ Paired-seed discipline: realization r draws its users from the stream
 (master_seed, r), so every scheme at every sweep point sees the identical
 user set for a given r, and runs reproduce byte-identical CSV output.
 
-Resampling policy: when a user projection falls outside the waveguide
-extent (possible while sweeping the segment count below region_x / L), the
-bound schemes take the first draw of the realization's stream whose
-projections are all inside, and its index in the stream (the redraw count)
-is recorded in the sidecar metadata; optimizer schemes keep the original
-draw, which they handle fine. A realization that needs more than
-MAX_REDRAWS redraws raises ValueError. The stream does not depend on the
-segment count, so a sweep runs one realization at a time over all its
-points: the realization's stream keeps its draws from point to point
-(until the user count changes) and draws further only when no kept draw
-fits, so the accepted draws and counts are those of a fresh stream at
-every point. Redraws come in doubling blocks, and only a draw that a bound
-scheme gets becomes a `UserSet`. The stream keeps those user sets, so the
-cache of each (the grid-gain blocks of `grid_gain_table` and the exact
-bound's terms) serves every point and scheme of one realization and user
-count; the sweep empties them when it drops the stream.
+Resampling policy: when a user projection falls outside the waveguide extent
+(possible while sweeping the segment count below region_x / L), the bound
+schemes take the first draw of the realization's stream whose projections
+are all inside, and its index in the stream (the redraw count) is recorded
+in the sidecar metadata; optimizer schemes keep the original draw, which
+they handle fine. A realization that needs more than MAX_REDRAWS redraws
+raises ValueError. `_run_realization` is the one place where a realization's
+streams and schemes run, over all of a sweep's points; the single run is its
+one-stop case. The stream does not depend on the segment count, so it keeps
+its draws from point to point (until the user count changes) and draws
+further only when no kept draw fits: the accepted draws and counts are those
+of a fresh stream at every point. Redraws come in doubling blocks, and only
+a draw that a bound scheme gets becomes a `UserSet`, whose cache (the
+grid-gain blocks of `grid_gain_table` and the exact bound's terms) serves
+every point and scheme of one realization and user count, until the runner
+drops the stream and empties it.
 """
 
 import hashlib
@@ -32,6 +32,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from types import UnionType
 from typing import get_args, get_origin
 
@@ -394,38 +395,39 @@ def _run_scheme(scheme: str, users, layout, params, config: ExperimentConfig, wh
 
 # NumPy raises FloatingPointError instead of warning and computing on with inf or NaN.
 @np.errstate(over="raise", divide="raise", invalid="raise")
-def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
-    """Run each realization over all (value, num_segments, num_users) points, one user stream at a time."""
+def _run_realization(config: ExperimentConfig, r: int, stops) -> list:
+    """Run realization r at each (layout, where, num_users) stop; per stop, the bound schemes' redraw index and
+    every scheme's (result, rate) pair. Consecutive stops with one user count share a stream, one alive at a time."""
     params = config.system_params()
     is_bound = [scheme.startswith("bound-") for scheme in config.schemes]  # a scheme's kind is its name prefix
-    needs_bound_users = any(is_bound)
-    layouts = [config.layout_for(num_segments) for _, num_segments, _ in points]
-    values = tuple(value for value, _, _ in points)
-    wheres = [f"{sweep_var} = {value}" for value in values]
-    narrow = [value for value, layout in zip(values, layouts)
+    out = []
+    for num_users, run in groupby(stops, key=lambda stop: stop[2]):
+        stream = _UserStream(config, num_users, r)
+        for layout, where, _ in run:
+            bound_users, redraw = stream.inside(*layout.extent) if any(is_bound) else (stream.users, 0)
+            out.append((redraw, [_run_scheme(scheme, bound_users if bound else stream.users, layout, params, config,
+                                             where) for scheme, bound in zip(config.schemes, is_bound)]))
+        stream.close()
+        del stream  # one stream alive at a time: this one goes before the next one draws
+    return out
+
+
+def _run_sweep(config: ExperimentConfig, sweep_var: str, points) -> SweepResult:
+    """Run each realization over all (value, num_segments, num_users) points."""
+    stops = [(config.layout_for(m), f"{sweep_var} = {value}", k) for value, m, k in points]
+    narrow = [value for (value, _, _), (layout, _, _) in zip(points, stops)
               if layout.extent[1] - layout.extent[0] < config.region_x_m * (1 - 1e-12)]
-    if needs_bound_users and narrow:
+    if any(scheme.startswith("bound-") for scheme in config.schemes) and narrow:
         warnings.warn(f"waveguide coverage is narrower than the {config.region_x_m:.6g} m user region at "
                       f"{sweep_var} = {', '.join(map(str, dict.fromkeys(narrow)))}; bound schemes resample "
-                      "out-of-extent realizations", RuntimeWarning, stacklevel=4)  # the public runner's caller
+                      "out-of-extent realizations", RuntimeWarning, stacklevel=3)  # the public runner's caller
     rates = np.empty((len(points), len(config.schemes), config.realizations))
-    redraws = np.zeros((len(points), config.realizations), dtype=int)
+    redraws = np.empty((len(points), config.realizations), dtype=int)
     for r in range(config.realizations):
-        stream = None
-        for p, ((_, _, num_users), layout, where) in enumerate(zip(points, layouts, wheres)):
-            if stream is None or stream.num_users != num_users:
-                if stream is not None:
-                    stream.close()
-                stream = None  # drop the old draws first, so that one stream is alive at a time
-                stream = _UserStream(config, num_users, r)
-            bound_users = stream.users
-            if needs_bound_users:
-                bound_users, redraws[p, r] = stream.inside(*layout.extent)
-            for i, scheme in enumerate(config.schemes):
-                chosen = bound_users if is_bound[i] else stream.users
-                _, rates[p, i, r] = _run_scheme(scheme, chosen, layout, params, config, where)
-        stream.close()
-    return SweepResult(config, sweep_var, values, rates, redraws)
+        out = _run_realization(config, r, stops)
+        redraws[:, r] = [redraw for redraw, _ in out]
+        rates[:, :, r] = [[rate for _, rate in results] for _, results in out]  # one conversion per realization
+    return SweepResult(config, sweep_var, tuple(value for value, _, _ in points), rates, redraws)
 
 
 def _segment_points(config: ExperimentConfig) -> list:
@@ -458,18 +460,16 @@ def run_user_sweep(config: ExperimentConfig) -> SweepResult:
     return _run_sweep(config, "K", points)
 
 
-@np.errstate(over="raise", divide="raise", invalid="raise")
 def run_single(config: ExperimentConfig) -> dict[str, GreedyTrace]:
     """Run the greedy schemes once (realization 0) and return their full traces."""
     if config.num_segments is None or config.num_users is None:
         raise ValueError("single run needs num_segments and num_users")
-    greedy = [s for s in config.schemes if s.startswith("hssa-")]
+    greedy = tuple(s for s in config.schemes if s.startswith("hssa-"))
     if not greedy:
         raise ValueError("single run needs hssa-1 and/or hssa-2 in schemes")
-    params = config.system_params()
-    layout = config.layout_for(config.num_segments)
-    users = _UserStream(config, config.num_users, 0).users  # both greedy schemes share its cached grid gains
-    return {s: _run_scheme(s, users, layout, params, config, "the single run")[0] for s in greedy}
+    stop = (config.layout_for(config.num_segments), "the single run", config.num_users)
+    [(_, results)] = _run_realization(replace(config, schemes=greedy), 0, [stop])  # one stream: one grid-gain table
+    return {s: result for s, (result, _) in zip(greedy, results)}
 
 
 def trace_csv_text(traces: dict[str, GreedyTrace]) -> str:

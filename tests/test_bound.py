@@ -167,10 +167,12 @@ class TestPartialSums:
         assert f_exact(0.5, 3, 1.0, 9.0) == pytest.approx(0.8830141314764784, rel=1e-14)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            f_exact(0.5, -1, 1.0, 9.0)
-        with pytest.raises(ValueError):
-            f_integral(0.5, -1, 1.0, 9.0)
+        for n in (-1, math.nan, 2.5, 2.0):  # a count that is not a nonnegative integer
+            for f in (f_exact, f_integral):
+                with pytest.raises(ValueError, match="segment count"):
+                    f(0.5, n, 1.0, 9.0)
+        for f in (f_exact, f_integral):  # NumPy integers count
+            assert f(0.5, np.int64(3), 1.0, 9.0) == f(0.5, 3, 1.0, 9.0)
         for delta, length, d_sq, message in ((0.5, 0.0, 9.0, "segment length"), (0.5, -1.0, 9.0, "segment length"),
                                              (0.5, 1.0, 0.0, "squared axis distance"),
                                              (0.5, 1.0, -9.0, "squared axis distance"),

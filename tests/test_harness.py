@@ -540,6 +540,21 @@ class TestSingleRun:
             level = int(flagged[0].split(",")[1])
             assert trace.levels[level - 1].rate == max(l.rate for l in trace.levels)
 
+    def test_other_schemes_are_left_out(self, monkeypatch):
+        # A single run runs only the greedy schemes, on the users and rates of realization 0 of the sweep.
+        cfg = self.make_config(schemes=("bound-exact", "hssa-2", "full-sa-1", "hssa-1"))
+        sweep = run_segment_sweep(replace(cfg, segment_sweep=(cfg.num_segments,), realizations=1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single run called a bound or full-SA scheme")
+
+        for name in ("exact_amplitude_bound", "sum_rate_bound", "full_sa_baseline"):
+            monkeypatch.setattr(harness, name, refuse)
+        traces = run_single(cfg)
+        assert trace_csv_text(traces) == trace_csv_text(run_single(self.make_config()))
+        for scheme, trace in traces.items():
+            assert trace.best_rate.hex() == sweep.rates[0, cfg.schemes.index(scheme), 0].hex()
+
     def test_requires_greedy_scheme_and_fixed_sizes(self):
         with pytest.raises(ValueError, match="hssa"):
             run_single(self.make_config(schemes=("full-sa-1",)))
@@ -549,28 +564,13 @@ class TestSingleRun:
 
 class TestReferenceTrace:
     # Recorded from configs/single_run.cfg before the greedy search moved to
-    # cached gain columns; the rewrite must reproduce it.
+    # cached gain columns; the rewrite must reproduce it byte for byte.
     REFERENCE = Path(__file__).parent / "data" / "single_run_trace.csv"
     CONFIG = Path(__file__).parents[1] / "configs" / "single_run.cfg"
 
-    @staticmethod
-    def phases(cell):
-        pairs = [item.split(":") for item in cell.split(";")]
-        return [int(m) for m, _ in pairs], [float(v) for _, v in pairs]
-
     def test_single_run_matches_recorded_trace(self):
-        got = trace_csv_text(run_single(ExperimentConfig.from_file(self.CONFIG))).splitlines()
-        want = self.REFERENCE.read_text().splitlines()
-        assert got[0] == want[0] and len(got) == len(want)
-        for line, ref in zip(got[1:], want[1:]):
-            cells, ref_cells = line.split(","), ref.split(",")
-            # scheme, level, segment, position, degenerate and best flags match exactly
-            assert cells[:4] + cells[6:] == ref_cells[:4] + ref_cells[6:]
-            assert float(cells[5]) == pytest.approx(float(ref_cells[5]), rel=1e-12, abs=0)
-            segments, values = self.phases(cells[4])
-            ref_segments, ref_values = self.phases(ref_cells[4])
-            assert segments == ref_segments
-            assert values == pytest.approx(ref_values, rel=1e-12, abs=0)
+        got = trace_csv_text(run_single(ExperimentConfig.from_file(self.CONFIG)))
+        assert got == self.REFERENCE.read_bytes().decode("utf-8"), bit_contract(self.REFERENCE)
 
 
 class TestBenchmarkReferences:
