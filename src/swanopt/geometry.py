@@ -114,6 +114,8 @@ class WaveguideLayout:
 
     def segment_interval(self, segment: int) -> tuple[float, float]:
         """Closed interval [feed_x[segment], segment_ends[segment]] of admissible antenna positions."""
+        if not 0 <= segment < self.num_segments:  # a negative index would wrap to a segment from the right
+            raise ValueError(f"segment index {segment} outside layout of {self.num_segments} segments")
         return self.feed_x[segment], self.segment_ends[segment]
 
     @cached_property
@@ -199,8 +201,6 @@ class Placement:
     def validate(self, layout: WaveguideLayout, params: SystemParams) -> None:
         """Raise ValueError if any segment-interval or spacing constraint fails."""
         for m, x in zip(self.active, self.positions):
-            if not 0 <= m < layout.num_segments:
-                raise ValueError(f"segment index {m} outside layout")
             lo, hi = layout.segment_interval(m)
             if not lo <= x <= hi:
                 raise ValueError(f"antenna position {x} outside segment {m} interval [{lo}, {hi}]")

@@ -22,11 +22,13 @@ trial phase aligned to the committed antennas for the phase-shifter search,
 which passes all of a level's segments at once. One AO kernel serves both
 phase-shifter schemes. It runs on a stack of phase matrices whose problems
 leave the stack as they converge, so every problem gets the bits it gets
-alone. The phase-shifter search runs it on all of a level's candidates at
-once; the baseline runs it on a stack of one, warm-started, through
-`phase_alternating_opt`. Every optimizer reads its grid gains through
-`grid_gain_table`: computed once per user set and distinct segment
-interval, height, grid size and params, and kept in the user set's `cache`.
+alone, and it exponentiates each new phase straight into conj(v), with the
+bits of conjugating the update. The phase-shifter search runs it on all of
+a level's candidates at once; the baseline runs it on a stack of one,
+warm-started, through `phase_alternating_opt`. Every optimizer reads its
+grid gains through `grid_gain_table`: computed once per user set and
+distinct segment interval, height, grid size and params, and kept in the
+user set's `cache`.
 
 All three searches keep one spacing mask per segment (`_free_points`) and,
 after an antenna is placed or moved, rebuild the masks of the segments less
@@ -263,7 +265,11 @@ def _stacked_ao(a: np.ndarray, tol: float, max_iter: int, init=None):
     gets alone. The element dot is a stacked matmul, which gives np.dot's
     bits, and the diagonal term is written out in real arithmetic, because
     an array complex multiply fuses multiply-adds and rounds differently
-    from the scalar product. Within a sweep only conj(v) is kept current.
+    from the scalar product. Within a sweep only conj(v) is kept current:
+    an element's new entry is exp(0 + i theta) of its coefficient's angle,
+    written straight into conj(v), which has the bits of the conjugated
+    update conj(exp(-1j * theta)). An update makes five NumPy calls into
+    buffers and views that are built once per stack size.
     """
     count, s, _ = a.shape
     v = np.ones((count, s), dtype=complex) if init is None else np.array(init, dtype=complex)
@@ -280,25 +286,33 @@ def _stacked_ao(a: np.ndarray, tol: float, max_iter: int, init=None):
     conj_v = np.conj(lv)
     refresh = True
     for sweep in range(1, max_iter + 1):
-        if refresh:
+        if refresh:  # views and buffers of the live stack, built once per stack size
             rows = [la[:, m, None, :] for m in range(s)]
             diag = la.diagonal(axis1=1, axis2=2)
             d_re, d_im = diag.real.T, diag.imag.T
-            column = conj_v[:, :, None]
+            column, entries = conj_v[:, :, None], list(conj_v.T)
+            cv_re, cv_im = conj_v.real.T, conj_v.imag.T
+            own = np.empty((s, live.size), dtype=complex)
+            own_rows = list(own)
+            dot = np.empty((live.size, 1, 1), dtype=complex)
+            coef = dot[:, 0, 0]
+            c_re, c_im = coef.real, coef.imag
+            # theta goes in unmultiplied: exp(0 + i theta) has the bits of conj(exp(-1j * theta)),
+            # signed zeros included, and exp(1j * theta) loses the sign of theta = -0.0.
+            theta = np.zeros(live.size, dtype=complex)
+            angle = theta.imag
         # Element m's own term A[m, m] conj(v[m]) reads v[m] from before the sweep: form them all now.
-        cv_re, cv_im = conj_v.real.T, conj_v.imag.T
-        own_re = d_re * cv_re - d_im * cv_im
-        own_im = d_re * cv_im + d_im * cv_re
+        own.real = d_re * cv_re - d_im * cv_im
+        own.imag = d_re * cv_im + d_im * cv_re
         # Element m aligns with its coefficient sum_{n != m} A[m, n] conj(v[n]).
         for m in range(s):
-            dot = np.matmul(rows[m], column)[:, 0, 0]
-            c_re = dot.real - own_re[m]
-            c_im = dot.imag - own_im[m]
-            u = np.exp(-1j * np.arctan2(c_im, c_re))
+            np.matmul(rows[m], column, out=dot)
+            coef -= own_rows[m]
+            np.arctan2(c_im, c_re, out=angle)
+            where = True
             if np.count_nonzero(c_re) < c_re.size:  # a zero coefficient leaves the element unchanged
-                zero = (c_re == 0) & (c_im == 0)
-                u[zero] = np.conj(conj_v[zero, m])
-            np.conjugate(u, out=conj_v[:, m])
+                where = (c_re != 0) | (c_im != 0)
+            np.exp(theta, out=entries[m], where=where)
         np.conjugate(conj_v, out=lv)
         new_obj = objective(la, lv, conj_v)
         stopped = new_obj - lobj <= tol * np.maximum(np.abs(lobj), 1e-300)

@@ -3,6 +3,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,6 +52,43 @@ def dispatch_targets() -> list:
     from numpy._core import _multiarray_umath as umath
 
     return [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+
+
+# NPY_DISABLE_CPU_FEATURES settings: AVX-512 off (AVX2 kernels), then also
+# X86_V3 off (the SSE baseline). On a CPU without those features a setting
+# changes nothing, so a test names the targets that each run actually had.
+DISPATCH_SETTINGS = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3")
+
+
+def dispatch_children(script: str, *args: str) -> list:
+    """One (setting, child) pair per DISPATCH_SETTINGS entry: `python -c script *args`, piping text stdout and stderr.
+
+    The children import the tests' swanopt and these oracles.
+    """
+    path = os.pathsep.join(filter(None, (str(Path(__file__).parent), os.environ.get("PYTHONPATH"))))
+    return [(setting, subprocess.Popen([sys.executable, "-c", script, *args], text=True,
+                                       env=cli_env(PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=setting),
+                                       stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+            for setting in DISPATCH_SETTINGS]
+
+
+def phase_exponent_report(count: int = 10**5, seed: int = 5) -> str:
+    """JSON of `dispatch_targets()` and the hex of every theta where exp(0 + i theta) and
+    conj(exp(-1j * theta)) differ in bits.
+
+    `_stacked_ao` writes the first for the second. The thetas are the signed
+    zeros, +-pi, +-pi/2, +-5e-324 and `count` np.arctan2 angles of random
+    complex values.
+    """
+    rng = np.random.default_rng(seed)
+    y, x = rng.normal(size=(2, count)) * 10.0 ** rng.uniform(-20.0, 20.0, (2, count))
+    special = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 5e-324, -5e-324]
+    theta = np.concatenate([special, np.arctan2(y, x)])
+    buffer = np.zeros(theta.size, dtype=complex)
+    buffer.imag = theta
+    differ = np.exp(buffer).view(np.uint64) != np.conj(np.exp(-1j * theta)).view(np.uint64)
+    mismatches = theta[differ.reshape(-1, 2).any(axis=1)]
+    return json.dumps({"targets": dispatch_targets(), "mismatches": [float(t).hex() for t in mismatches]})
 
 
 def sweep_report(runs) -> str:

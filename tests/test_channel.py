@@ -163,6 +163,16 @@ class TestEffectiveChannel:
                                  phase=float(rng.uniform(0, 2 * np.pi)) if phases else 0.0)
         return pl
 
+    @pytest.mark.parametrize("segment", [-1, 4])  # the layout has segments 0..3
+    def test_segment_outside_the_layout_rejected(self, segment):
+        # Index -1 must not wrap to the last segment, whose interval [1, 2] holds x = 1.5.
+        users = sample_users(3, 3.5, 8, 0.01, 31)
+        message = f"segment index {segment} outside layout of 4 segments"
+        with pytest.raises(ValueError, match=message):
+            segment_gains(users, segment, 1.5, self.layout, self.params)
+        with pytest.raises(ValueError, match=message):
+            placement_sum_rate(users, Placement((segment,), (1.5,), (0.0,)), self.layout, self.params)
+
     def test_single_segment_equals_cascaded(self):
         pl = with_segment(empty_placement(), 2, 0.3)
         user = User(0.5, 1.0, 0.01)

@@ -100,6 +100,13 @@ class TestLayout:
         lo, hi = lay.extent
         assert hi - lo == pytest.approx(m * 0.75, rel=1e-9)
 
+    @pytest.mark.parametrize("segment", [-2, -1, 4, 5])
+    def test_segment_interval_rejects_indices_outside_the_layout(self, segment):
+        lay = build_centered_layout(4, 1.0, 3.0)
+        assert lay.segment_interval(3) == (1.0, 2.0)
+        with pytest.raises(ValueError, match=f"segment index {segment} outside layout of 4 segments"):
+            lay.segment_interval(segment)
+
     @pytest.mark.parametrize("kw", [
         dict(num_segments=0, segment_length_m=1.0, height_m=3.0),
         dict(num_segments=2, segment_length_m=0.0, height_m=3.0),

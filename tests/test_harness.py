@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import PerDrawStream, bit_contract, cli_env, row, rows, sweep_report
+from oracles import PerDrawStream, bit_contract, cli_env, dispatch_children, row, rows, sweep_report
 
 import swanopt.cli
 import swanopt.harness as harness
@@ -618,25 +617,17 @@ class TestDispatchLevels:
     # `bit_contract`). Across levels the contract is numeric: each perfbench
     # config's CSV keeps every other cell, every mean within 4 ulps and
     # every std_rate within 1e-12 relative of the default dispatch's. Each
-    # setting runs in its own child interpreter: AVX-512 off (AVX2
-    # kernels), then also X86_V3 off (the SSE baseline). On a CPU without
-    # those features a setting changes nothing, so the messages name the
-    # targets that each run actually had.
-    SETTINGS = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3")
+    # of `DISPATCH_SETTINGS` runs in its own child interpreter.
     RUNS = {"desk-sweep": "run_segment_sweep", "switch-only": "run_segment_sweep", "bound-sweep": "run_bound_sweep"}
 
     def test_every_dispatch_level_keeps_the_rates_within_the_contract(self):
         runs = [(name, run, str(TestBenchmarkReferences.BENCH / "configs" / f"{name}.cfg"))
                 for name, run in self.RUNS.items()]
-        # The children import the tests' oracles as well as the tests' swanopt.
-        path = os.pathsep.join(filter(None, (str(Path(__file__).parent), os.environ.get("PYTHONPATH"))))
         script = "import json, sys, oracles; print(oracles.sweep_report(json.loads(sys.argv[1])))"
-        children = [subprocess.Popen([sys.executable, "-c", script, json.dumps(runs)], text=True,
-                                     env=cli_env(PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=setting),
-                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE) for setting in self.SETTINGS]
+        children = dispatch_children(script, json.dumps(runs))
         default = json.loads(sweep_report(runs))
         covered = [f"default: {default['targets']}"]
-        for setting, child in zip(self.SETTINGS, children):
+        for setting, child in children:
             out, err = child.communicate(timeout=300)
             assert child.returncode == 0, err
             report = json.loads(out)

@@ -1,5 +1,6 @@
 """Greedy activation, phase alternating optimization, full-activation baseline."""
 
+import json
 import math
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     aligned_grid_point,
+    dispatch_children,
     element_update,
     empty_placement,
     exhaustive_zero_phase_rate,
     fresh,
     full_sa_rescan,
     params_28ghz,
+    phase_exponent_report,
     quadratic_objective,
     with_segment,
 )
@@ -86,6 +89,11 @@ class TestCandidateGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             candidate_grid(0, self.layout, 1)
+
+    @pytest.mark.parametrize("segment", [-1, 12])  # the layout has segments 0..11
+    def test_segment_outside_the_layout_rejected(self, segment):
+        with pytest.raises(ValueError, match=f"segment index {segment} outside layout of 12 segments"):
+            candidate_grid(segment, self.layout, 11)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(1, 120), st.one_of(st.just(0.3), st.floats(0.01, 5.0)), st.integers(2, 1000))
@@ -480,6 +488,21 @@ class TestStackedAO:
                 a[i], None if init is None else init[i], tol, max_iter)
             assert phases[i].tobytes() == ref_phases.tobytes()
             assert objectives[i] == ref_objective and iterations[i] == ref_iterations
+
+
+class TestPhaseExponent:
+    # `_stacked_ao` writes exp(0 + i theta) into conj(v) where the reference
+    # update takes conj(exp(-1j * theta)); the two must agree bit for bit,
+    # signed zeros included, at every dispatch level.
+    def test_equals_the_conjugated_exponent_bit_for_bit(self):
+        children = dispatch_children("import oracles; print(oracles.phase_exponent_report())")
+        reports = [("default", json.loads(phase_exponent_report()))]
+        for setting, child in children:
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+            reports.append((f"NPY_DISABLE_CPU_FEATURES={setting!r}", json.loads(out)))
+        for where, report in reports:
+            assert report["mismatches"] == [], f"{where}, dispatch targets {report['targets'] or 'the baseline'}"
 
 
 class TestGreedyTypeTwo:
